@@ -6,6 +6,7 @@
 package nli
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -245,7 +246,7 @@ func BenchmarkF4JoinPath(b *testing.B) {
 }
 
 // BenchmarkF5JoinHeavy measures join-heavy queries at dataset scale 4
-// through the streaming planner (exec.Query) and the seed-style
+// through the planner (exec.Query) and the seed-style
 // materializing executor (exec.ReferenceQuery). The planned/reference
 // pairs quantify what predicate pushdown, index access paths and
 // cost-based join ordering buy on multi-table equi-joins.
@@ -284,7 +285,7 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 		// Compiles per iteration exactly like /planned above, so the
 		// two series differ only in execution strategy.
 		b.Run(q.name+"/planned-parallel", func(b *testing.B) {
-			p, err := exec.BuildPlanParallel(db, stmt, par)
+			p, err := exec.BuildPlanParallelAt(db.Snapshot(), stmt, par)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -294,7 +295,7 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.QueryParallel(db, stmt, par); err != nil {
+				if _, err := queryParallel(db, stmt, par); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -308,6 +309,17 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 			}
 		})
 	}
+}
+
+// queryParallel compiles stmt at parallel degree par and runs it on
+// one pinned snapshot.
+func queryParallel(db *store.DB, stmt *sql.SelectStmt, par int) (*exec.Result, error) {
+	sn := db.Snapshot()
+	p, err := exec.BuildPlanParallelAt(sn, stmt, par)
+	if err != nil {
+		return nil, err
+	}
+	return exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 0, nil, nil)
 }
 
 // BenchmarkF6ParallelSpeedup measures the parallel executor against
@@ -329,59 +341,6 @@ func BenchmarkF6ParallelSpeedup(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := bench.MeasureParallelSpeedup(db, q.name, q.query, par, 3); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkF7VectorizedSpeedup measures batch-at-a-time execution over
-// typed column vectors against the row-at-a-time Volcano iterators on
-// prebuilt plans at dataset scale 4 (figure F7), serial and parallel.
-// Allocations are reported: the vectorized scan→filter→aggregate path
-// must allocate per batch, not per row.
-func BenchmarkF7VectorizedSpeedup(b *testing.B) {
-	db := dataset.University(4)
-	queries := []struct{ name, query string }{
-		{"scanfilteragg", "SELECT AVG(gpa), COUNT(*) FROM students WHERE gpa > 2.5"},
-		{"join4", "SELECT s.name, c.title FROM students s, enrollments e, courses c, departments d " +
-			"WHERE e.student_id = s.id AND e.course_id = c.course_id AND c.dept_id = d.dept_id " +
-			"AND d.name = 'Computer Science' AND s.gpa > 3.7"},
-		{"join3agg", "SELECT d.name, COUNT(*) FROM students s, enrollments e, departments d " +
-			"WHERE e.student_id = s.id AND s.dept_id = d.dept_id AND s.gpa > 3.5 GROUP BY d.name"},
-	}
-	par := runtime.GOMAXPROCS(0)
-	if par < 4 {
-		par = 4
-	}
-	for _, q := range queries {
-		stmt := sql.MustParse(q.query)
-		for _, degree := range []int{1, par} {
-			p, err := exec.BuildPlanParallel(db, stmt, degree)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !p.Vec {
-				b.Fatalf("%s: plan not fully vectorizable", q.name)
-			}
-			suffix := "serial"
-			if degree > 1 {
-				suffix = fmt.Sprintf("par=%d", degree)
-			}
-			b.Run(fmt.Sprintf("%s/vec/%s", q.name, suffix), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := exec.Run(db, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s/row/%s", q.name, suffix), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := exec.RunNoVec(db, p); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	nlibench [-exp T1|T2|T3|T4|T5|T6|F1|F2|F3|F4|F5|F6|F7|F8|F9|F10|F11|F12|F13|all]
+//	nlibench [-exp T1|T2|T3|T4|T5|T6|F1|F2|F3|F4|F5|F6|F8|F9|F10|F11|F12|F13|all]
 package main
 
 import (
@@ -41,11 +41,11 @@ func main() {
 		"T1": expT1, "T2": expT2, "T3": expT3, "T4": expT4,
 		"T5": expT5, "T6": expT6,
 		"F1": expF1, "F2": expF2, "F3": expF3, "F4": expF4,
-		"F5": expF5, "F6": expF6, "F7": expF7, "F8": expF8,
+		"F5": expF5, "F6": expF6, "F8": expF8,
 		"F9": expF9, "F10": expF10, "F11": expF11, "F12": expF12,
 		"F13": expF13,
 	}
-	order := []string{"T1", "T2", "T3", "T4", "T5", "T6", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F12", "F13"}
+	order := []string{"T1", "T2", "T3", "T4", "T5", "T6", "F1", "F2", "F3", "F4", "F5", "F6", "F8", "F9", "F10", "F11", "F12", "F13"}
 
 	run := func(id string) {
 		f, ok := experiments[id]
@@ -497,38 +497,6 @@ func expF6() error {
 	return nil
 }
 
-// expF7 prints the vectorized-execution speedup: batch-at-a-time over
-// typed column vectors versus the row-at-a-time Volcano iterators
-// (both on prebuilt plans) and the materializing reference path,
-// serial and parallel, on scan-, join- and aggregate-heavy queries at
-// scale 4.
-func expF7() error {
-	header("F7", fmt.Sprintf("vectorized speedup vs row-at-a-time (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)))
-	db := dataset.University(4)
-	queries := []struct{ name, query string }{
-		{"scan-filter-aggregate", "SELECT AVG(gpa), COUNT(*) FROM students WHERE gpa > 2.5"},
-		{"4-table filtered join", "SELECT s.name, c.title FROM students s, enrollments e, courses c, departments d " +
-			"WHERE e.student_id = s.id AND e.course_id = c.course_id AND c.dept_id = d.dept_id " +
-			"AND d.name = 'Computer Science' AND s.gpa > 3.7"},
-		{"agg over 3-table join", "SELECT d.name, COUNT(*) FROM students s, enrollments e, departments d " +
-			"WHERE e.student_id = s.id AND s.dept_id = d.dept_id AND s.gpa > 3.5 GROUP BY d.name"},
-		{"distinct projection", "SELECT DISTINCT year, dept_id FROM students ORDER BY year, dept_id"},
-	}
-	fmt.Printf("%-24s %6s %12s %12s %12s %8s\n",
-		"query (university, x4)", "par", "vectorized", "row-at-time", "reference", "speedup")
-	for _, q := range queries {
-		for _, par := range []int{1, 4} {
-			sp, err := bench.MeasureVecSpeedup(db, q.name, q.query, par, 20)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-24s %6d %12s %12s %12s %7.2fx\n",
-				sp.Name, sp.Par, sp.Vec, sp.Row, sp.Reference, sp.Factor())
-		}
-	}
-	return nil
-}
-
 // expF8 measures the cost of snapshot isolation on the serving path:
 // read latency of a students-only query while a bulk loader
 // continuously publishes batches into another table of the same
@@ -763,8 +731,8 @@ var f11Rows int
 // uncompressed column vectors: storage footprint (bytes/row, encoding
 // mix), and scan/filter/aggregate throughput with zone-map skipping
 // live, serial and parallel. Every timed query is verified row-for-row
-// across the segment, no-segment and row-at-a-time paths inside
-// MeasureSegQuery. Selective predicates on the clustered timestamp
+// across the segment and no-segment paths, and by bag against the
+// reference oracle, inside MeasureSegQuery. Selective predicates on the clustered timestamp
 // must beat the uncompressed layout by >=3x; the footprint must shrink
 // by >=2x.
 func expF11() error {
@@ -796,8 +764,8 @@ func expF11() error {
 		{"dict equality (no skip)", "SELECT COUNT(*) FROM events WHERE level = 'error'"},
 		{"group by service", "SELECT service, COUNT(*) FROM events WHERE level = 'error' GROUP BY service ORDER BY service"},
 	}
-	fmt.Printf("\n%-26s %4s %11s %11s %11s %8s %9s %14s %7s\n",
-		"query", "par", "segments", "no-segment", "row-mode", "speedup", "skipped", "rows/s", "out")
+	fmt.Printf("\n%-26s %4s %11s %11s %8s %9s %14s %7s\n",
+		"query", "par", "segments", "no-segment", "speedup", "skipped", "rows/s", "out")
 	reps := 5
 	if n <= 1_000_000 {
 		reps = 10
@@ -809,8 +777,8 @@ func expF11() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-26s %4d %11s %11s %11s %7.2fx %9s %14.0f %7d\n",
-				sq.Name, sq.Par, sq.Seg, sq.NoSeg, sq.RowMode, sq.Factor(),
+			fmt.Printf("%-26s %4d %11s %11s %7.2fx %9s %14.0f %7d\n",
+				sq.Name, sq.Par, sq.Seg, sq.NoSeg, sq.Factor(),
 				pct(sq.SkipRatio), sq.RowsPerSec(), sq.OutRows)
 			if q.name == "ts window ~2% count" && par == 1 {
 				tsSerialFactor = sq.Factor()

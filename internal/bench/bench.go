@@ -6,11 +6,13 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
@@ -145,6 +147,12 @@ func runSQL(db *store.DB, q string) (*exec.Result, error) {
 		return nil, err
 	}
 	return exec.Query(db, stmt)
+}
+
+// runPlan executes a compiled plan serially-as-compiled against sn,
+// with no parameters, counters or cancellation.
+func runPlan(sn *store.Snapshot, p *plan.Plan) (*exec.Result, error) {
+	return exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 0, nil, nil)
 }
 
 // SameResult compares two results as bags of row tuples (order

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -92,7 +93,7 @@ func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (Co
 
 	// Warm-up: builds the segment layout and funnels sealed segments
 	// into the cache (adoption spills them to disk).
-	if _, err := exec.RunAt(sn, p); err != nil {
+	if _, err := runPlan(sn, p); err != nil {
 		return ColdScan{}, err
 	}
 	ss := sn.Table(table).Segments()
@@ -122,7 +123,7 @@ func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (Co
 	cache.EvictAll()
 	before := cache.Stats()
 	var ctr store.SegCounters
-	coldRes, err := exec.RunCountedAt(sn, p, &ctr)
+	coldRes, err := exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 0, &ctr, nil)
 	if err != nil {
 		return ColdScan{}, err
 	}
@@ -150,7 +151,7 @@ func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (Co
 	for i := 0; i < reps; i++ {
 		cache.EvictAll()
 		start := time.Now()
-		if _, err := exec.RunAt(sn, p); err != nil {
+		if _, err := runPlan(sn, p); err != nil {
 			return ColdScan{}, err
 		}
 		if d := time.Since(start); cold < 0 || d < cold {
@@ -161,7 +162,7 @@ func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (Co
 	// Warm timing: cache state carries over from the last cold rep, so
 	// whatever fits in budget is served from memory.
 	w0 := cache.Stats()
-	warm, err := minOver(func() (*exec.Result, error) { return exec.RunAt(sn, p) })
+	warm, err := minOver(func() (*exec.Result, error) { return runPlan(sn, p) })
 	if err != nil {
 		return ColdScan{}, err
 	}

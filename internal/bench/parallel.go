@@ -37,34 +37,35 @@ func MeasureParallelSpeedup(db *store.DB, name, query string, par, reps int) (Pa
 	if err != nil {
 		return ParSpeedup{}, err
 	}
-	sp, err := exec.BuildPlan(db, stmt)
+	sn := db.Snapshot()
+	sp, err := exec.BuildPlanParallelAt(sn, stmt, 1)
 	if err != nil {
 		return ParSpeedup{}, err
 	}
-	pp, err := exec.BuildPlanParallel(db, stmt, par)
+	pp, err := exec.BuildPlanParallelAt(sn, stmt, par)
 	if err != nil {
 		return ParSpeedup{}, err
 	}
 
-	serialRes, err := exec.Run(db, sp) // warm-up and baseline rows
+	serialRes, err := runPlan(sn, sp) // warm-up and baseline rows
 	if err != nil {
 		return ParSpeedup{}, err
 	}
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := exec.Run(db, sp); err != nil {
+		if _, err := runPlan(sn, sp); err != nil {
 			return ParSpeedup{}, err
 		}
 	}
 	serial := time.Since(start) / time.Duration(reps)
 
-	parRes, err := exec.Run(db, pp) // warm-up
+	parRes, err := runPlan(sn, pp) // warm-up
 	if err != nil {
 		return ParSpeedup{}, err
 	}
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		if parRes, err = exec.Run(db, pp); err != nil {
+		if parRes, err = runPlan(sn, pp); err != nil {
 			return ParSpeedup{}, err
 		}
 	}

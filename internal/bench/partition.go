@@ -201,7 +201,7 @@ func MeasurePartitionJoin(dbPart, dbFlat *store.DB, table, name, query string,
 		best := time.Duration(-1)
 		for i := 0; i < reps; i++ {
 			start := time.Now()
-			if _, err := exec.RunAt(sn, p); err != nil {
+			if _, err := runPlan(sn, p); err != nil {
 				return 0, err
 			}
 			if d := time.Since(start); best < 0 || d < best {
@@ -211,19 +211,19 @@ func MeasurePartitionJoin(dbPart, dbFlat *store.DB, table, name, query string,
 		return best, nil
 	}
 
-	wiseRes, err := exec.RunAt(snP, pp) // warm-up and baseline rows
+	wiseRes, err := runPlan(snP, pp) // warm-up and baseline rows
 	if err != nil {
 		return PartJoin{}, err
 	}
 	var c store.PartCounters
-	if _, err := exec.RunPartCountedAt(snP, pp, &c); err != nil {
+	if _, err := exec.RunBoundCountedAtCtx(context.Background(), snP, pp, nil, 0, nil, &c); err != nil {
 		return PartJoin{}, err
 	}
 	wise, err := minOver(snP, pp)
 	if err != nil {
 		return PartJoin{}, err
 	}
-	sharedRes, err := exec.RunAt(snF, pf) // warm-up
+	sharedRes, err := runPlan(snF, pf) // warm-up
 	if err != nil {
 		return PartJoin{}, err
 	}
@@ -288,7 +288,7 @@ func MeasurePartitionPrune(db *store.DB, table, name, query string, kept []int) 
 		return PartPrune{}, err
 	}
 
-	if _, err := exec.RunAt(sn, p); err != nil { // warm-up: builds + spills segments
+	if _, err := runPlan(sn, p); err != nil { // warm-up: builds + spills segments
 		return PartPrune{}, err
 	}
 	keptBytes := int64(0)

@@ -74,7 +74,7 @@ func PlanShapes(db *store.DB, cases []Case) (*PlanShape, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: gold for %s does not parse: %w", cs.ID, err)
 		}
-		p, err := exec.BuildPlan(db, stmt)
+		p, err := exec.BuildPlanParallelAt(db.Snapshot(), stmt, 1)
 		if err != nil {
 			return nil, fmt.Errorf("bench: gold for %s does not plan: %w", cs.ID, err)
 		}

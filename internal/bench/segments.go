@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -21,7 +22,6 @@ type SegQuery struct {
 	Rows      int           // table rows the scan is over
 	Seg       time.Duration // segment layout, zone maps live
 	NoSeg     time.Duration // uncompressed column vectors
-	RowMode   time.Duration // row-at-a-time ablation
 	SegN      int64         // segments decoded (per run)
 	SegSkip   int64         // segments skipped by zone maps (per run)
 	OutRows   int           // result cardinality
@@ -97,8 +97,8 @@ func MeasureSegFootprint(db *store.DB, table string) SegFootprint {
 
 // MeasureSegQuery times one query over the segment layout and the
 // uncompressed column-vector layout at worker degree par, averaging
-// over reps, and requires the three modes (segment, no-segment,
-// row-at-a-time) to agree row for row — the skip logic must never
+// over reps. The two layouts must agree row for row, and both must
+// match the reference oracle as a bag — the skip logic must never
 // change results. Counters come from a dedicated counted run so the
 // timed loops stay untouched.
 func MeasureSegQuery(db *store.DB, table, name, query string, par, reps int) (SegQuery, error) {
@@ -129,15 +129,15 @@ func MeasureSegQuery(db *store.DB, table, name, query string, par, reps int) (Se
 		return best, nil
 	}
 
-	segRes, err := exec.RunAt(sn, p) // warm-up: forces segment build
+	segRes, err := runPlan(sn, p) // warm-up: forces segment build
 	if err != nil {
 		return SegQuery{}, err
 	}
 	var c store.SegCounters
-	if _, err := exec.RunCountedAt(sn, p, &c); err != nil {
+	if _, err := exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 0, &c, nil); err != nil {
 		return SegQuery{}, err
 	}
-	seg, err := minOver(func() (*exec.Result, error) { return exec.RunAt(sn, p) })
+	seg, err := minOver(func() (*exec.Result, error) { return runPlan(sn, p) })
 	if err != nil {
 		return SegQuery{}, err
 	}
@@ -151,35 +151,27 @@ func MeasureSegQuery(db *store.DB, table, name, query string, par, reps int) (Se
 		return SegQuery{}, err
 	}
 
-	rowRes, err := exec.RunNoVecAt(sn, p)
+	if len(segRes.Rows) != len(noSegRes.Rows) {
+		return SegQuery{}, fmt.Errorf("bench: segment path returned %d rows, no-segment path %d for %q",
+			len(segRes.Rows), len(noSegRes.Rows), name)
+	}
+	for r := range segRes.Rows {
+		if !RowsEqual(segRes.Rows[r], noSegRes.Rows[r]) {
+			return SegQuery{}, fmt.Errorf("bench: segment row %d diverges from no-segment path for %q", r, name)
+		}
+	}
+	ref, err := exec.ReferenceQueryAt(sn, stmt)
 	if err != nil {
 		return SegQuery{}, err
 	}
-	rowMode, err := minOver(func() (*exec.Result, error) { return exec.RunNoVecAt(sn, p) })
-	if err != nil {
-		return SegQuery{}, err
-	}
-
-	for _, pair := range []struct {
-		name string
-		res  *exec.Result
-	}{{"no-segment", noSegRes}, {"row-mode", rowRes}} {
-		if len(segRes.Rows) != len(pair.res.Rows) {
-			return SegQuery{}, fmt.Errorf("bench: segment path returned %d rows, %s path %d for %q",
-				len(segRes.Rows), pair.name, len(pair.res.Rows), name)
-		}
-		for r := range segRes.Rows {
-			if !RowsEqual(segRes.Rows[r], pair.res.Rows[r]) {
-				return SegQuery{}, fmt.Errorf("bench: segment row %d diverges from %s path for %q",
-					r, pair.name, name)
-			}
-		}
+	if !SameResult(segRes, ref) {
+		return SegQuery{}, fmt.Errorf("bench: segment path diverges from the reference oracle for %q", name)
 	}
 
 	out := SegQuery{
 		Name: name, Par: par,
 		Rows: sn.Table(table).Len(),
-		Seg:  seg, NoSeg: noSeg, RowMode: rowMode,
+		Seg:  seg, NoSeg: noSeg,
 		SegN:    c.Scanned.Load(),
 		SegSkip: c.Skipped.Load(),
 		OutRows: len(segRes.Rows),

@@ -3,8 +3,8 @@ package exec
 // Internal regression tests for executor.arm — the contract that
 // Background/TODO contexts keep the zero-overhead nil signal while any
 // context carrying a Done channel always arms the executor. The
-// external halves (observable cancellation through RunAtCtx and the
-// prepared RunBoundAtCtx) live in ctx_test.go; these pin the signal
+// external halves (observable cancellation through
+// RunBoundCountedAtCtx) live in ctx_test.go; these pin the signal
 // wiring itself so a refactor cannot silently disconnect it.
 
 import (
@@ -19,7 +19,7 @@ func TestArmSignal(t *testing.T) {
 	sn := dataset.University(1).Snapshot()
 
 	// Background and TODO: Done() is nil, the signal must stay nil so
-	// unserved runs take the checkpoint-free iterator paths.
+	// unserved runs take the checkpoint-free operator paths.
 	for _, tc := range []struct {
 		name string
 		ctx  context.Context

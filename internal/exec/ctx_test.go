@@ -18,9 +18,9 @@ import (
 const heavyStmt = `SELECT d.name, AVG(s.gpa) FROM students s, departments d
 	WHERE s.dept_id = d.dept_id AND s.gpa > 1.0 GROUP BY d.name ORDER BY d.name`
 
-// TestRunAtCtxBackgroundMatchesRunAt: a background context adds no
-// cancellation signal, and the ctx path returns row-for-row what the
-// plain path returns — the delegation contract of the ...Ctx variants.
+// TestRunAtCtxBackgroundMatchesRunAt: a run under a live cancelable
+// context (armed checkpoints that never fire) returns row-for-row what
+// a background-context run returns — checkpoints never change results.
 func TestRunAtCtxBackgroundMatchesRunAt(t *testing.T) {
 	db := dataset.University(2)
 	stmt := sql.MustParse(heavyStmt)
@@ -29,11 +29,13 @@ func TestRunAtCtxBackgroundMatchesRunAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := exec.RunAt(sn, p)
+	plain, err := runAt(sn, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := exec.RunAtCtx(context.Background(), sn, p)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctxed, err := exec.RunBoundCountedAtCtx(ctx, sn, p, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestRunAtCtxBackgroundMatchesRunAt(t *testing.T) {
 }
 
 // TestRunAtCtxPreCanceled: an already-canceled context fails the run
-// before any iterator work, reporting the context's cause.
+// before any operator work, reporting the context's cause.
 func TestRunAtCtxPreCanceled(t *testing.T) {
 	db := dataset.University(1)
 	stmt := sql.MustParse(heavyStmt)
@@ -55,7 +57,7 @@ func TestRunAtCtxPreCanceled(t *testing.T) {
 	cause := errors.New("request abandoned")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	if _, err := exec.RunAtCtx(ctx, sn, p); !errors.Is(err, cause) {
+	if _, err := exec.RunBoundCountedAtCtx(ctx, sn, p, nil, 0, nil, nil); !errors.Is(err, cause) {
 		t.Fatalf("pre-canceled run returned %v, want cause %v", err, cause)
 	}
 }
@@ -71,11 +73,11 @@ func TestRunBoundAtCtxParCapMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := exec.RunBoundAtCtx(context.Background(), sn, p, nil, 0)
+	full, err := exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shed, err := exec.RunBoundAtCtx(context.Background(), sn, p, nil, 1)
+	shed, err := exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +86,9 @@ func TestRunBoundAtCtxParCapMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunBoundAtCtxArmsCancellation: the prepared/bound entry point —
-// the one the serving layer actually calls — arms the executor exactly
-// like RunAtCtx: an already-dead context aborts before iterator work
-// with the context's cause, at full degree and under the serial
-// load-shed cap alike.
+// TestRunBoundAtCtxArmsCancellation: an already-dead context aborts a
+// run before operator work with the context's cause, at full degree
+// and under the serial load-shed cap alike.
 func TestRunBoundAtCtxArmsCancellation(t *testing.T) {
 	db := dataset.University(1)
 	stmt := sql.MustParse(heavyStmt)
@@ -101,7 +101,7 @@ func TestRunBoundAtCtxArmsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
 	for _, par := range []int{0, 1} {
-		if _, err := exec.RunBoundAtCtx(ctx, sn, p, nil, par); !errors.Is(err, cause) {
+		if _, err := exec.RunBoundCountedAtCtx(ctx, sn, p, nil, par, nil, nil); !errors.Is(err, cause) {
 			t.Errorf("par=%d: pre-canceled bound run returned %v, want cause %v", par, err, cause)
 		}
 	}
@@ -131,7 +131,7 @@ func TestRunAtCtxCancelMidFlight(t *testing.T) {
 			cancel(cause)
 		}()
 		start := time.Now()
-		_, err := exec.RunAtCtx(ctx, sn, p)
+		_, err := exec.RunBoundCountedAtCtx(ctx, sn, p, nil, 0, nil, nil)
 		elapsed := time.Since(start)
 		if err != nil && !errors.Is(err, cause) {
 			t.Fatalf("run %d: unexpected error %v", i, err)

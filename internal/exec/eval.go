@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/plan"
 	"repro/internal/schema"
@@ -66,7 +67,7 @@ func (ex *executor) eval(f *plan.Frame, e sql.Expr) (store.Value, error) {
 	case *sql.InExpr:
 		return ex.evalIn(f, n)
 	case *sql.ExistsExpr:
-		res, err := ex.runSubquery(n.Sub, f)
+		res, _, err := ex.subquery(n.Sub, f)
 		if err != nil {
 			return store.Value{}, err
 		}
@@ -241,22 +242,17 @@ func (ex *executor) evalIn(f *plan.Frame, n *sql.InExpr) (store.Value, error) {
 	}
 	var found, sawNull bool
 	if n.Sub != nil {
-		res, err := ex.runSubquery(n.Sub, f)
+		res, cached, err := ex.subquery(n.Sub, f)
 		if err != nil {
 			return store.Value{}, err
 		}
 		if len(res.Cols) != 1 {
 			return store.Value{}, fmt.Errorf("exec: IN subquery must return one column, got %d", len(res.Cols))
 		}
-		for _, row := range res.Rows {
-			if row[0].IsNull() {
-				sawNull = true
-				continue
-			}
-			if store.Equal(x, row[0]) {
-				found = true
-				break
-			}
+		if cached != nil {
+			found, sawNull = cached.members().contains(x)
+		} else {
+			found, sawNull = linearIn(x, res.Rows)
 		}
 	} else {
 		for _, le := range n.List {
@@ -283,29 +279,64 @@ func (ex *executor) evalIn(f *plan.Frame, n *sql.InExpr) (store.Value, error) {
 	return store.Bool(n.Negated), nil
 }
 
-// runSubquery executes sub with f as the correlation parent. Results
-// are memoized only for subqueries proven uncorrelated, and the cache
-// key carries the correlation status as a guard: a correlated subquery
-// must never be served a result computed under a different outer row.
-func (ex *executor) runSubquery(sub *sql.SelectStmt, f *plan.Frame) (*Result, error) {
-	if ex.correlated(sub, f) {
-		return ex.selectStmt(sub, f)
+// linearIn scans a one-column result for x under store.Equal,
+// reporting a match and whether a NULL element was passed — the
+// membership test of a correlated IN subquery, whose result is never
+// reused.
+func linearIn(x store.Value, rows []store.Row) (found, sawNull bool) {
+	for _, row := range rows {
+		if row[0].IsNull() {
+			sawNull = true
+			continue
+		}
+		if store.Equal(x, row[0]) {
+			return true, sawNull
+		}
 	}
-	key := subKey{stmt: sub, correlated: false}
+	return false, sawNull
+}
+
+// subResult is one memoized uncorrelated subquery result, plus the
+// hashed membership set IN probes build from it on first use — so an
+// IN (subquery) costs one hash probe per outer row instead of a scan
+// of the whole result.
+type subResult struct {
+	res  *Result
+	once sync.Once
+	set  *memberSet
+}
+
+func (sr *subResult) members() *memberSet {
+	sr.once.Do(func() { sr.set = newMemberSet(sr.res.Rows) })
+	return sr.set
+}
+
+// subquery executes sub with f as the correlation parent. Results are
+// memoized per statement only for subqueries proven uncorrelated, whose
+// cache entry is returned alongside (nil for a correlated subquery: its
+// result depends on the outer row and must never be served to another).
+func (ex *executor) subquery(sub *sql.SelectStmt, f *plan.Frame) (*Result, *subResult, error) {
+	if ex.correlated(sub, f) {
+		res, err := ex.selectStmt(sub, f)
+		return res, nil, err
+	}
 	ex.mu.Lock()
-	cached, ok := ex.subCache[key]
+	cached, ok := ex.subCache[sub]
 	ex.mu.Unlock()
 	if ok {
-		return cached, nil
+		return cached.res, cached, nil
 	}
 	res, err := ex.selectStmt(sub, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ex.mu.Lock()
-	ex.subCache[key] = res
+	if cached, ok = ex.subCache[sub]; !ok {
+		cached = &subResult{res: res}
+		ex.subCache[sub] = cached
+	}
 	ex.mu.Unlock()
-	return res, nil
+	return cached.res, cached, nil
 }
 
 // correlated reports whether sub references an enclosing frame.
@@ -444,7 +475,7 @@ func (ex *executor) correlated(sub *sql.SelectStmt, f *plan.Frame) bool {
 }
 
 func (ex *executor) scalarSubquery(sub *sql.SelectStmt, f *plan.Frame) (store.Value, error) {
-	res, err := ex.runSubquery(sub, f)
+	res, _, err := ex.subquery(sub, f)
 	if err != nil {
 		return store.Value{}, err
 	}

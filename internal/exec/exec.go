@@ -1,20 +1,20 @@
 // Package exec evaluates SQL ASTs (internal/sql) against the in-memory
 // store (internal/store). Queries are compiled by internal/plan into a
 // cost-optimized operator tree (predicate pushdown, column pruning,
-// index-aware join ordering) and executed by plan's Volcano-style
-// streaming iterators; this package contributes the scalar-expression
-// evaluator those iterators call back into, covering multi-table
-// equi-joins, aggregation with GROUP BY and HAVING, DISTINCT, ORDER BY
-// with alias references, LIMIT, IN/EXISTS and scalar subqueries
-// including correlated ones.
+// index-aware join ordering) and executed by plan's batch-at-a-time
+// operators; this package contributes the scalar-expression evaluator
+// those operators fall back to for what their vector programs do not
+// cover — IN/EXISTS and scalar subqueries including correlated ones,
+// and aggregates over a group's rows — besides the entry points that
+// compile, bind and run statements.
 //
 // Evaluation uses collapsed three-valued logic: comparisons involving
 // NULL yield NULL, AND/OR/NOT propagate NULL, and a WHERE/HAVING accepts
 // a row only when the predicate is exactly TRUE.
 //
 // ReferenceQuery preserves the pre-planner execution strategy
-// (materialize the full join product, then filter) as a differential-
-// testing baseline.
+// (materialize the full join product, then filter) as the
+// differential-testing oracle.
 package exec
 
 import (
@@ -32,58 +32,29 @@ type Result struct {
 }
 
 // Query evaluates stmt against db through the planning layer,
-// serially — the reproducible single-worker path every differential
-// baseline compares against. A snapshot of the database is pinned for
-// the whole query (planning, execution, every subquery): concurrent
-// writers never change what an in-flight query sees.
+// serially. A snapshot of the database is pinned for the whole query
+// (planning, execution, every subquery): concurrent writers never
+// change what an in-flight query sees.
 func Query(db *store.DB, stmt *sql.SelectStmt) (*Result, error) {
 	return QueryAt(db.Snapshot(), stmt)
 }
 
 // QueryAt is Query against an already-pinned snapshot — the form used
 // when the caller needs several operations to observe the same data
-// version (the engine pins once per ask).
+// version.
 func QueryAt(sn *store.Snapshot, stmt *sql.SelectStmt) (*Result, error) {
 	p, err := plan.Compile(sn, stmt)
 	if err != nil {
 		return nil, err
 	}
-	return RunAt(sn, p)
+	return newExecutor(sn).run(p, nil)
 }
 
-// QueryParallel evaluates stmt with intra-query parallelism at degree
-// par; par <= 1 is exactly Query. Results are row-for-row identical to
-// the serial path (the exchange operator merges worker outputs in
-// morsel order). Like Query, the whole run is pinned to one snapshot.
-func QueryParallel(db *store.DB, stmt *sql.SelectStmt, par int) (*Result, error) {
-	return QueryParallelAt(db.Snapshot(), stmt, par)
-}
-
-// QueryParallelAt is QueryParallel against an already-pinned snapshot.
-func QueryParallelAt(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*Result, error) {
-	p, err := BuildPlanParallelAt(sn, stmt, par)
-	if err != nil {
-		return nil, err
-	}
-	return RunAt(sn, p)
-}
-
-// BuildPlan compiles stmt into an optimized plan without running it —
-// the seam core uses to time planning separately and surface the
-// chosen plan in answers.
-func BuildPlan(db *store.DB, stmt *sql.SelectStmt) (*plan.Plan, error) {
-	return plan.Compile(db.Snapshot(), stmt)
-}
-
-// BuildPlanParallel compiles stmt and rewrites the plan for intra-query
-// parallelism at degree par (see plan.Parallelize for when the rewrite
-// declines).
-func BuildPlanParallel(db *store.DB, stmt *sql.SelectStmt, par int) (*plan.Plan, error) {
-	return BuildPlanParallelAt(db.Snapshot(), stmt, par)
-}
-
-// BuildPlanParallelAt is BuildPlanParallel against an already-pinned
-// snapshot.
+// BuildPlanParallelAt compiles stmt against a pinned snapshot and
+// rewrites the plan for intra-query parallelism at degree par (see
+// plan.Parallelize for when the rewrite declines; par <= 1 leaves the
+// serial plan). Run it with RunBoundCountedAtCtx, passing the same
+// snapshot so plan-time choices and run-time data agree exactly.
 func BuildPlanParallelAt(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*plan.Plan, error) {
 	p, err := plan.Compile(sn, stmt)
 	if err != nil {
@@ -92,122 +63,33 @@ func BuildPlanParallelAt(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*pl
 	return plan.Parallelize(sn, p, par), nil
 }
 
-// Run executes a compiled plan against a fresh snapshot of db.
-func Run(db *store.DB, p *plan.Plan) (*Result, error) {
-	return RunAt(db.Snapshot(), p)
-}
-
-// RunAt executes a compiled plan against a pinned snapshot. To make
-// plan-time choices (index scans, estimates) and run-time data agree
-// exactly, pass the snapshot the plan was compiled on.
-func RunAt(sn *store.Snapshot, p *plan.Plan) (*Result, error) {
-	return newExecutor(sn).run(p, nil)
-}
-
-// QueryNoVec evaluates stmt with vectorized execution disabled
-// everywhere (including subqueries) — the row-at-a-time ablation
-// baseline the vectorized differential tests and the F7 experiment
-// compare against. Results are row-for-row identical to Query.
-func QueryNoVec(db *store.DB, stmt *sql.SelectStmt) (*Result, error) {
-	return QueryNoVecAt(db.Snapshot(), stmt)
-}
-
-// QueryNoVecAt is QueryNoVec against an already-pinned snapshot.
-func QueryNoVecAt(sn *store.Snapshot, stmt *sql.SelectStmt) (*Result, error) {
-	p, err := plan.Compile(sn, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return RunNoVecAt(sn, p)
-}
-
-// QueryParallelNoVec is QueryParallel with vectorization disabled.
-func QueryParallelNoVec(db *store.DB, stmt *sql.SelectStmt, par int) (*Result, error) {
-	sn := db.Snapshot()
-	p, err := BuildPlanParallelAt(sn, stmt, par)
-	if err != nil {
-		return nil, err
-	}
-	return RunNoVecAt(sn, p)
-}
-
-// RunNoVec executes a compiled plan row-at-a-time.
-func RunNoVec(db *store.DB, p *plan.Plan) (*Result, error) {
-	return RunNoVecAt(db.Snapshot(), p)
-}
-
-// RunNoVecAt executes a compiled plan row-at-a-time against an
-// already-pinned snapshot.
-func RunNoVecAt(sn *store.Snapshot, p *plan.Plan) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.noVec = true
-	return ex.run(p, nil)
-}
-
-// RunNoSeg executes a compiled plan with vectorized scans reading the
+// RunNoSegAt executes a compiled plan with scans reading the
 // uncompressed column vectors instead of the segment layout (zone-map
 // skipping disabled with them) — the ablation baseline of the
 // compressed-segment experiment (F11). Results are row-for-row
-// identical to Run.
-func RunNoSeg(db *store.DB, p *plan.Plan) (*Result, error) {
-	return RunNoSegAt(db.Snapshot(), p)
-}
-
-// RunNoSegAt is RunNoSeg against an already-pinned snapshot.
+// identical to a segment run.
 func RunNoSegAt(sn *store.Snapshot, p *plan.Plan) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.noSeg = true
-	return ex.run(p, nil)
+	return RunBoundNoSegAt(sn, p, nil)
 }
 
-// RunCountedAt is RunAt with runtime segment counters: c accumulates
-// segments decoded vs segments skipped by zone maps across every scan
-// of the run, including subqueries and Exchange workers.
-func RunCountedAt(sn *store.Snapshot, p *plan.Plan, c *store.SegCounters) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.segC = c
-	return ex.run(p, nil)
-}
-
-// RunPartCountedAt is RunAt with runtime partition counters: c
-// accumulates partitions read vs partitions pruned by bound predicates
-// across every scan of the run, including parallel workers.
-func RunPartCountedAt(sn *store.Snapshot, p *plan.Plan, c *store.PartCounters) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.partC = c
-	return ex.run(p, nil)
-}
-
-// subKey keys the subquery result cache by statement and correlation
-// status. Today only uncorrelated results are ever inserted (correlated
-// subqueries return before the cache, their result depending on the
-// outer row), so entries always carry correlated=false; the field is
-// schema, not logic — it makes the cache's contract explicit and keeps
-// a future caching of correlated results from colliding with these
-// entries under the same statement pointer.
-type subKey struct {
-	stmt       *sql.SelectStmt
-	correlated bool
-}
-
-// executor evaluates expressions for plan iterators and runs nested
-// subqueries, memoizing uncorrelated subquery results and compiled
-// subquery plans. It holds the query's pinned snapshot: the outer
+// executor evaluates expressions for plan operators and runs nested
+// subqueries, memoizing uncorrelated subquery results (keyed by
+// statement: a correlated subquery never reaches the cache) and
+// compiled subquery plans. It holds the query's pinned snapshot: the outer
 // plan, every subquery plan and every subquery run read the same data
 // version, so a query's parts can never observe different writes.
 // Parallel plans call Eval/EvalGroup from multiple exchange workers at
 // once, so every cache access takes mu; the cached values themselves
 // are immutable once published. Two workers racing on the same cold
-// entry may both compute it — the duplicated work is bounded and both
-// insert identical results.
+// entry may both compute it — the duplicated work is bounded and the
+// first result published is the one every later probe sees.
 type executor struct {
 	sn        *store.Snapshot
 	mu        sync.Mutex
-	subCache  map[subKey]*Result
+	subCache  map[*sql.SelectStmt]*subResult
 	planCache map[*sql.SelectStmt]*plan.Plan
 	corrCache map[*sql.SelectStmt]bool // memoized correlation verdicts
 	reference bool                     // route subqueries through the reference path too
-	noVec     bool                     // force row-at-a-time execution (ablation)
 	noSeg     bool                     // scan column vectors, not segments (ablation)
 	segC      *store.SegCounters       // optional segment scan/skip counters
 	partC     *store.PartCounters      // optional partition scan/prune counters
@@ -237,7 +119,7 @@ type executor struct {
 func newExecutor(sn *store.Snapshot) *executor {
 	return &executor{
 		sn:        sn,
-		subCache:  map[subKey]*Result{},
+		subCache:  map[*sql.SelectStmt]*subResult{},
 		planCache: map[*sql.SelectStmt]*plan.Plan{},
 		corrCache: map[*sql.SelectStmt]bool{},
 	}
@@ -245,7 +127,7 @@ func newExecutor(sn *store.Snapshot) *executor {
 
 func (ex *executor) run(p *plan.Plan, parent *plan.Frame) (*Result, error) {
 	rows, err := plan.Run(p, &plan.Ctx{Snap: ex.sn, Ev: ex, Parent: parent,
-		NoVec: ex.noVec, NoSeg: ex.noSeg, SegC: ex.segC, PartC: ex.partC,
+		NoSeg: ex.noSeg, SegC: ex.segC, PartC: ex.partC,
 		Params: ex.params, Par: ex.par, Done: ex.done, Cause: ex.cause})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -8,9 +9,25 @@ import (
 	"repro/internal/bench"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
+
+// runAt executes a compiled plan on sn with no parameters, counters or
+// cancellation.
+func runAt(sn *store.Snapshot, p *plan.Plan) (*exec.Result, error) {
+	return exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 0, nil, nil)
+}
+
+// queryPar compiles stmt on sn at parallel degree par and runs it.
+func queryPar(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*exec.Result, error) {
+	p, err := exec.BuildPlanParallelAt(sn, stmt, par)
+	if err != nil {
+		return nil, err
+	}
+	return runAt(sn, p)
+}
 
 // sameRows requires exact row-for-row equality, order included — the
 // contract of the order-preserving exchange merge: a parallel plan
@@ -68,14 +85,14 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 				t.Errorf("%s: serial and reference results differ", cs.ID)
 			}
 			for _, par := range []int{2, 4, 8} {
-				p, err := exec.BuildPlanParallel(db, stmt, par)
+				p, err := exec.BuildPlanParallelAt(db.Snapshot(), stmt, par)
 				if err != nil {
 					t.Fatalf("%s: parallel planning failed: %v", cs.ID, err)
 				}
 				if p.OperatorCounts()["exchange"] > 0 {
 					exchanges++
 				}
-				parallel, err := exec.Run(db, p)
+				parallel, err := runAt(db.Snapshot(), p)
 				if err != nil {
 					t.Fatalf("%s: parallel execution (par=%d) failed: %v", cs.ID, par, err)
 				}
@@ -114,7 +131,7 @@ func TestParallelJoinHeavyRowForRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, par := range []int{2, 3, 4, 8, 16} {
-			parallel, err := exec.QueryParallel(db, stmt, par)
+			parallel, err := queryPar(db.Snapshot(), stmt, par)
 			if err != nil {
 				t.Fatalf("par=%d: %v", par, err)
 			}
@@ -132,7 +149,7 @@ func TestParallelExplain(t *testing.T) {
 	db := dataset.University(4)
 	stmt := sql.MustParse("SELECT d.name, COUNT(*) FROM students s, enrollments e, departments d " +
 		"WHERE e.student_id = s.id AND s.dept_id = d.dept_id GROUP BY d.name")
-	p, err := exec.BuildPlanParallel(db, stmt, 4)
+	p, err := exec.BuildPlanParallelAt(db.Snapshot(), stmt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +165,11 @@ func TestParallelExplain(t *testing.T) {
 	}
 
 	// Parallelism 1 must reproduce the serial plan exactly.
-	serial, err := exec.BuildPlanParallel(db, stmt, 1)
+	serial, err := exec.BuildPlanParallelAt(db.Snapshot(), stmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := exec.BuildPlan(db, stmt)
+	plain, err := exec.BuildPlanParallelAt(db.Snapshot(), stmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +184,7 @@ func TestParallelExplain(t *testing.T) {
 // materialize every worker's output first, so the rewrite declines.
 func TestParallelSkipsStreamingLimit(t *testing.T) {
 	db := dataset.University(4)
-	limited, err := exec.BuildPlanParallel(db,
+	limited, err := exec.BuildPlanParallelAt(db.Snapshot(),
 		sql.MustParse("SELECT name FROM students LIMIT 3"), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +194,7 @@ func TestParallelSkipsStreamingLimit(t *testing.T) {
 	}
 
 	// With a Sort below the Limit everything is read anyway — eligible.
-	sorted, err := exec.BuildPlanParallel(db,
+	sorted, err := exec.BuildPlanParallelAt(db.Snapshot(),
 		sql.MustParse("SELECT name FROM students ORDER BY gpa DESC LIMIT 3"), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +207,7 @@ func TestParallelSkipsStreamingLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := exec.Run(db, sorted)
+	parallel, err := runAt(db.Snapshot(), sorted)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,17 +70,12 @@ func sameBag(a, b *exec.Result) error {
 
 // TestPartitionDifferentialCorpus runs the full benchmark corpus over
 // every dataset partitioned 1, 8 and 32 ways and requires: (a) results
-// bag-equal to the unpartitioned layout at every degree, and (b) the
+// bag-equal to the reference oracle at every degree, and (b) the
 // parallel run row-for-row identical to the serial run on the same
 // layout — partition-wise execution and partition-aligned exchanges
 // must merge in exactly serial order.
 func TestPartitionDifferentialCorpus(t *testing.T) {
 	for _, domain := range dataset.Names() {
-		flat, err := dataset.ByName(domain, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snFlat := flat.Snapshot()
 		for _, parts := range []int{1, 8, 32} {
 			db, err := dataset.ByName(domain, 1)
 			if err != nil {
@@ -93,13 +88,9 @@ func TestPartitionDifferentialCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
 				}
-				pFlat, err := exec.BuildPlanParallelAt(snFlat, stmt, 1)
+				want, err := exec.ReferenceQueryAt(sn, stmt)
 				if err != nil {
-					t.Fatalf("%s: flat compile failed: %v", cs.ID, err)
-				}
-				want, err := exec.RunAt(snFlat, pFlat)
-				if err != nil {
-					t.Fatalf("%s: flat execution failed: %v", cs.ID, err)
+					t.Fatalf("%s: reference execution failed: %v", cs.ID, err)
 				}
 				var serial *exec.Result
 				for _, par := range []int{1, 4} {
@@ -107,12 +98,12 @@ func TestPartitionDifferentialCorpus(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: compile failed (parts=%d par=%d): %v", cs.ID, parts, par, err)
 					}
-					got, err := exec.RunAt(sn, p)
+					got, err := runAt(sn, p)
 					if err != nil {
 						t.Fatalf("%s: execution failed (parts=%d par=%d): %v", cs.ID, parts, par, err)
 					}
 					if err := sameBag(got, want); err != nil {
-						t.Errorf("%s (parts=%d par=%d): vs unpartitioned: %v\nsql: %s",
+						t.Errorf("%s (parts=%d par=%d): vs reference: %v\nsql: %s",
 							cs.ID, parts, par, err, cs.Gold)
 					}
 					if par == 1 {
@@ -185,11 +176,11 @@ func TestPartitionWiseJoinDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			var c store.PartCounters
-			got, err := exec.RunPartCountedAt(snP, pp, &c)
+			got, err := exec.RunBoundCountedAtCtx(context.Background(), snP, pp, nil, 0, nil, &c)
 			if err != nil {
 				t.Fatalf("%s (par=%d): %v", tc.q, par, err)
 			}
-			want, err := exec.RunAt(snF, pf)
+			want, err := runAt(snF, pf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,13 +270,13 @@ func BenchmarkPartitionWiseJoin(b *testing.B) {
 	if p.OperatorCounts()["partition-wise"] == 0 {
 		b.Fatal("plan has no partition-wise operator")
 	}
-	if _, err := exec.RunAt(sn, p); err != nil { // warm-up: builds segments
+	if _, err := runAt(sn, p); err != nil { // warm-up: builds segments
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunAt(sn, p); err != nil {
+		if _, err := runAt(sn, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -39,18 +40,19 @@ func TestPreparedCorpusDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: prepare failed: %v\n%s", cs.ID, err, cs.Gold)
 			}
-			prepared, err := pq.RunAt(sn, params)
+			prepared, err := runPrepared(sn, pq, params, 1)
 			if err != nil {
 				t.Fatalf("%s: prepared execution failed: %v\n%s", cs.ID, err, cs.Gold)
 			}
 			if err := rowsIdentical(prepared, oneShot); err != nil {
 				t.Errorf("%s: prepared vs one-shot: %v\nsql: %s", cs.ID, err, cs.Gold)
 			}
-			pqPar, paramsPar, err := exec.PrepareParallelAt(sn, stmt, 4)
+			tmpl, paramsPar := sql.Parameterize(stmt)
+			pqPar, err := exec.PrepareTemplateAt(sn, tmpl, paramsPar, 4)
 			if err != nil {
 				t.Fatalf("%s: parallel prepare failed: %v", cs.ID, err)
 			}
-			parallel, err := pqPar.RunParallelAt(sn, paramsPar, 4)
+			parallel, err := runPrepared(sn, pqPar, paramsPar, 4)
 			if err != nil {
 				t.Fatalf("%s: parallel prepared execution failed: %v\n%s", cs.ID, err, cs.Gold)
 			}
@@ -59,6 +61,15 @@ func TestPreparedCorpusDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runPrepared binds pq to params at degree par and runs the plan.
+func runPrepared(sn *store.Snapshot, pq *exec.PreparedQuery, params []store.Value, par int) (*exec.Result, error) {
+	p, _, err := pq.Bind(sn, params, par)
+	if err != nil {
+		return nil, err
+	}
+	return exec.RunBoundCountedAtCtx(context.Background(), sn, p, params, 0, nil, nil)
 }
 
 // TestPreparedRebindRowForRow: a template compiled from one question
@@ -96,7 +107,7 @@ func TestPreparedRebindRowForRow(t *testing.T) {
 			stmt   *sql.SelectStmt
 			params []store.Value
 		}{{"original", first, params}, {"rebound", second, params2}} {
-			got, err := pq.RunAt(sn, bind.params)
+			got, err := runPrepared(sn, pq, bind.params, 1)
 			if err != nil {
 				t.Fatalf("prepared run (%s) %s: %v", bind.name, bind.stmt, err)
 			}
@@ -122,10 +133,10 @@ func TestPreparedPlanWithoutVectorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.RunBoundAt(sn, pq.Tmpl.Plan(), nil); err == nil {
+	if _, err := exec.RunBoundCountedAtCtx(context.Background(), sn, pq.Tmpl.Plan(), nil, 0, nil, nil); err == nil {
 		t.Error("running a parameterized plan with no vector must error, not answer")
 	}
-	if _, err := exec.RunBoundAt(sn, pq.Tmpl.Plan(), params); err != nil {
+	if _, err := exec.RunBoundCountedAtCtx(context.Background(), sn, pq.Tmpl.Plan(), params, 0, nil, nil); err != nil {
 		t.Errorf("running with the vector bound: %v", err)
 	}
 }
@@ -148,7 +159,7 @@ func TestPreparedRebindSupersededBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, params2 := sql.Parameterize(second)
-	got, err := pq.RunAt(sn, params2)
+	got, err := runPrepared(sn, pq, params2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +174,7 @@ func TestPreparedRebindSupersededBound(t *testing.T) {
 	// compile time, a plain bound at rebind time.
 	third := sql.MustParse("SELECT id FROM students WHERE id BETWEEN 0 AND 40 AND id <= 5 ORDER BY id")
 	_, params3 := sql.Parameterize(third)
-	got3, err := pq.RunAt(sn, params3)
+	got3, err := runPrepared(sn, pq, params3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +231,7 @@ func TestPreparedRebindAfterBulkLoad(t *testing.T) {
 	if strings.Split(before, "\n")[2] == strings.Split(after, "\n")[2] {
 		t.Errorf("recompiled plan should probe from the other side\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	got, err := exec.RunBoundAt(sn, p, params)
+	got, err := exec.RunBoundCountedAtCtx(context.Background(), sn, p, params, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

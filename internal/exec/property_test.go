@@ -2,10 +2,12 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/sql"
+	"repro/internal/store"
 )
 
 // randSelect builds a random but well-formed single-table query over
@@ -160,6 +162,45 @@ func TestSubqueryConsistency(t *testing.T) {
 	for i := range in.Rows {
 		if in.Rows[i][0].Str() != exists.Rows[i][0].Str() {
 			t.Fatalf("IN %v != EXISTS %v", names(in), names(exists))
+		}
+	}
+}
+
+// TestMemberSetMatchesLinearScan: the hashed IN-subquery membership
+// set must answer every probe exactly like the linear store.Equal scan
+// it replaces — integers exact beyond 2^53, int/float pairs compared
+// numerically, -0 equal to 0, NaN equal to every number, kinds that
+// never compare equal, and a NULL element turning a miss into NULL.
+func TestMemberSetMatchesLinearScan(t *testing.T) {
+	const big = int64(1) << 53
+	pool := []store.Value{
+		store.Null(),
+		store.Int(0), store.Int(1), store.Int(-1), store.Int(big), store.Int(big + 1), store.Int(big - 1),
+		store.Float(0), store.Float(math.Copysign(0, -1)), store.Float(1), store.Float(1.5), store.Float(-1),
+		store.Float(float64(big)), store.Float(float64(big) + 2), store.Float(math.NaN()),
+		store.Float(math.Inf(1)), store.Float(math.Inf(-1)),
+		store.Text(""), store.Text("1"), store.Text("a"), store.Text("NaN"),
+		store.Bool(true), store.Bool(false),
+	}
+	r := rand.New(rand.NewSource(20261017))
+	for trial := 0; trial < 2000; trial++ {
+		rows := make([]store.Row, r.Intn(6))
+		for i := range rows {
+			rows[i] = store.Row{pool[r.Intn(len(pool))]}
+		}
+		set := newMemberSet(rows)
+		for _, x := range pool {
+			if x.IsNull() {
+				continue // evalIn answers a NULL probe before consulting the set
+			}
+			gotF, gotN := set.contains(x)
+			wantF, wantN := linearIn(x, rows)
+			// A hit is TRUE whatever NULLs the scan passed; only a miss
+			// reads the NULL flag.
+			if gotF != wantF || (!wantF && gotN != wantN) {
+				t.Fatalf("probe %v over %v: set says (found=%v null=%v), scan says (found=%v null=%v)",
+					x, rows, gotF, gotN, wantF, wantN)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -12,8 +13,8 @@ import (
 	"repro/internal/store"
 )
 
-// The race battery: every executor mode (serial row-at-a-time,
-// parallel, vectorized, reference) reads while writers are actively
+// The race battery: every executor mode (serial, parallel, prepared,
+// reference) reads while writers are actively
 // publishing — single inserts, bulk batches, CSV loads — under the
 // race detector. Writers maintain invariants that hold on every
 // published version but on no torn mix of versions, so any query
@@ -68,11 +69,36 @@ func eventBatch(i int) []store.Row {
 func queryFns() map[string]func(*store.DB, *sql.SelectStmt) (*Result, error) {
 	return map[string]func(*store.DB, *sql.SelectStmt) (*Result, error){
 		"serial":    Query,
-		"parallel":  func(db *store.DB, s *sql.SelectStmt) (*Result, error) { return QueryParallel(db, s, 4) },
-		"novec":     QueryNoVec,
-		"novec-par": func(db *store.DB, s *sql.SelectStmt) (*Result, error) { return QueryParallelNoVec(db, s, 4) },
+		"parallel":  func(db *store.DB, s *sql.SelectStmt) (*Result, error) { return queryPar(db, s, 4) },
+		"prepared":  queryPrepared,
 		"reference": ReferenceQuery,
 	}
+}
+
+// queryPar compiles stmt at parallel degree par and runs it, pinned to
+// one snapshot.
+func queryPar(db *store.DB, stmt *sql.SelectStmt, par int) (*Result, error) {
+	sn := db.Snapshot()
+	p, err := BuildPlanParallelAt(sn, stmt, par)
+	if err != nil {
+		return nil, err
+	}
+	return RunBoundCountedAtCtx(context.Background(), sn, p, nil, 0, nil, nil)
+}
+
+// queryPrepared runs stmt through the prepared path — lift constants,
+// compile the template, bind them back — pinned to one snapshot.
+func queryPrepared(db *store.DB, stmt *sql.SelectStmt) (*Result, error) {
+	sn := db.Snapshot()
+	pq, params, err := PrepareAt(sn, stmt)
+	if err != nil {
+		return nil, err
+	}
+	p, _, err := pq.Bind(sn, params, 1)
+	if err != nil {
+		return nil, err
+	}
+	return RunBoundCountedAtCtx(context.Background(), sn, p, params, 0, nil, nil)
 }
 
 // intCell unboxes a numeric aggregate cell (NULL counts as 0). It is
@@ -209,7 +235,7 @@ func TestConcurrentReadersUnderWriters(t *testing.T) {
 // TestSnapshotQueryRepeatable: a query plan compiled and run on an
 // explicitly pinned snapshot returns identical results before and
 // after concurrent writes — the API-level snapshot-pinning contract
-// (exec.QueryAt / RunAt) the engine relies on.
+// (exec.QueryAt) the engine relies on.
 func TestSnapshotQueryRepeatable(t *testing.T) {
 	db := raceDB(t)
 	for i := 0; i < 4; i++ {

@@ -25,7 +25,7 @@ func BenchmarkSegCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := exec.RunAt(sn, p); err != nil { // build + adopt + warm
+	if _, err := runAt(sn, p); err != nil { // build + adopt + warm
 		b.Fatal(err)
 	}
 	base := db.SegCache().Stats()
@@ -35,7 +35,7 @@ func BenchmarkSegCacheHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunAt(sn, p); err != nil {
+		if _, err := runAt(sn, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func segBenchPlan(b *testing.B, query string) (*exec.Result, func(noSeg bool) (*
 	}
 	db.Table("events").Segments() // build segment layout outside the loop
 	db.Table("events").ColVecs()  // and the uncompressed one
-	warm, err := exec.RunAt(sn, p)
+	warm, err := runAt(sn, p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func segBenchPlan(b *testing.B, query string) (*exec.Result, func(noSeg bool) (*
 		if noSeg {
 			return exec.RunNoSegAt(sn, p)
 		}
-		return exec.RunAt(sn, p)
+		return runAt(sn, p)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,8 +24,9 @@ func setSegmentRows(db *store.DB, n int) {
 // TestSegDifferentialCorpus runs the full benchmark corpus over tiny
 // segments (sizes chosen to straddle encoding and batch boundaries,
 // including non-multiples of 64 and 1024) and requires the segment
-// scan path, the uncompressed column-vector path and the row path to
-// produce row-for-row identical output, serially and in parallel.
+// scan path and the uncompressed column-vector path to produce
+// row-for-row identical output, serial and par-4 runs to agree row for
+// row, and every run to match the reference oracle as a bag.
 func TestSegDifferentialCorpus(t *testing.T) {
 	for _, segRows := range []int{7, 100, 1025} {
 		for _, domain := range dataset.Names() {
@@ -38,13 +40,18 @@ func TestSegDifferentialCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
 				}
+				sn := db.Snapshot()
+				reference, err := exec.ReferenceQueryAt(sn, stmt)
+				if err != nil {
+					t.Fatalf("%s: reference execution failed: %v", cs.ID, err)
+				}
+				var serial *exec.Result
 				for _, par := range []int{1, 4} {
-					sn := db.Snapshot()
 					p, err := exec.BuildPlanParallelAt(sn, stmt, par)
 					if err != nil {
 						t.Fatalf("%s: compile failed: %v", cs.ID, err)
 					}
-					seg, err := exec.RunAt(sn, p)
+					seg, err := runAt(sn, p)
 					if err != nil {
 						t.Fatalf("%s: segment execution failed (segRows=%d par=%d): %v", cs.ID, segRows, par, err)
 					}
@@ -56,12 +63,14 @@ func TestSegDifferentialCorpus(t *testing.T) {
 						t.Errorf("%s (segRows=%d par=%d): segment vs column-vector scan: %v\nsql: %s",
 							cs.ID, segRows, par, err, cs.Gold)
 					}
-					row, err := exec.RunNoVecAt(sn, p)
-					if err != nil {
-						t.Fatalf("%s: row execution failed: %v", cs.ID, err)
+					if !bench.SameResult(seg, reference) {
+						t.Errorf("%s (segRows=%d par=%d): segment run differs from the reference oracle\nsql: %s",
+							cs.ID, segRows, par, cs.Gold)
 					}
-					if err := rowsIdentical(seg, row); err != nil {
-						t.Errorf("%s (segRows=%d par=%d): segment vs row-at-a-time: %v\nsql: %s",
+					if serial == nil {
+						serial = seg
+					} else if err := rowsIdentical(serial, seg); err != nil {
+						t.Errorf("%s (segRows=%d): par=%d vs serial: %v\nsql: %s",
 							cs.ID, segRows, par, err, cs.Gold)
 					}
 				}
@@ -135,12 +144,12 @@ func TestSegZoneSkipCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.q, err)
 			}
-			plan, err := exec.BuildPlan(db, stmt)
+			plan, err := exec.BuildPlanParallelAt(db.Snapshot(), stmt, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var c store.SegCounters
-			counted, err := exec.RunCountedAt(sn, plan, &c)
+			counted, err := exec.RunBoundCountedAtCtx(context.Background(), sn, plan, nil, 0, &c, nil)
 			if err != nil {
 				t.Fatalf("%s: counted run: %v", tc.q, err)
 			}
@@ -196,7 +205,7 @@ func TestSegSkipPrepared(t *testing.T) {
 			t.Fatal(err)
 		}
 		var c store.SegCounters
-		got, err := exec.RunBoundCountedAt(sn, p, ps, &c)
+		got, err := exec.RunBoundCountedAtCtx(context.Background(), sn, p, ps, 0, &c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,13 +227,13 @@ func TestSegSkipPrepared(t *testing.T) {
 	// A NULL bound makes the predicate non-TRUE everywhere (3VL), so
 	// every segment skips without being decoded. Bind rejects NULL
 	// parameters, so this arrives as a literal.
-	p, err := exec.BuildPlan(db, sql.MustParse(
-		"SELECT COUNT(*) FROM events WHERE ts > NULL"))
+	p, err := exec.BuildPlanParallelAt(sn, sql.MustParse(
+		"SELECT COUNT(*) FROM events WHERE ts > NULL"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var c store.SegCounters
-	got, err := exec.RunCountedAt(sn, p, &c)
+	got, err := exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 0, &c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +253,8 @@ func TestSegSkipPrepared(t *testing.T) {
 // whose null layout stresses bitmap word and batch boundaries:
 // all-null columns, no-null columns, nulls exactly at multiples of 64
 // and 1024, and single-row tables. The segment path must agree with
-// the row path on every one.
+// the uncompressed column vectors row for row and with the reference
+// oracle as a bag on every one.
 func TestSegNullEdgeBatches(t *testing.T) {
 	build := func(n int, nullAt func(i int) bool) *store.DB {
 		s := schema.MustNew("nulledge", []*schema.Table{{
@@ -293,16 +303,27 @@ func TestSegNullEdgeBatches(t *testing.T) {
 			for _, q := range queries {
 				stmt := sql.MustParse(q)
 				sn := db.Snapshot()
-				vec, err := exec.QueryAt(sn, stmt)
+				p, err := exec.BuildPlanParallelAt(sn, stmt, 1)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sh.name, q, err)
 				}
-				row, err := exec.QueryNoVecAt(sn, stmt)
+				seg, err := runAt(sn, p)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sh.name, q, err)
 				}
-				if err := rowsIdentical(vec, row); err != nil {
+				noseg, err := exec.RunNoSegAt(sn, p)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", sh.name, q, err)
+				}
+				if err := rowsIdentical(seg, noseg); err != nil {
 					t.Errorf("%s (segRows=%d): %s: %v", sh.name, segRows, q, err)
+				}
+				reference, err := exec.ReferenceQueryAt(sn, stmt)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", sh.name, q, err)
+				}
+				if !bench.SameResult(seg, reference) {
+					t.Errorf("%s (segRows=%d): %s: differs from the reference oracle", sh.name, segRows, q)
 				}
 			}
 		}

@@ -35,7 +35,7 @@ func TestCorrelationDetection(t *testing.T) {
 	db := fixture(t)
 	ex := newExecutor(db.Snapshot())
 
-	outerPlan, err := BuildPlan(db, sql.MustParse("SELECT name FROM students s"))
+	outerPlan, err := BuildPlanParallelAt(db.Snapshot(), sql.MustParse("SELECT name FROM students s"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,24 +67,32 @@ func TestCorrelationDetection(t *testing.T) {
 
 // TestUncorrelatedCacheReused proves the cache actually serves repeat
 // evaluations: after one query, the uncorrelated subquery's result is
-// in the cache under the uncorrelated key.
+// in the cache under its statement, and a second run through the same
+// executor is served that very entry.
 func TestUncorrelatedCacheReused(t *testing.T) {
 	db := fixture(t)
 	stmt := sql.MustParse("SELECT name FROM students WHERE gpa >= (SELECT MAX(gpa) FROM students)")
-	p, err := BuildPlan(db, stmt)
+	sub := stmt.Where.(*sql.BinaryExpr).R.(*sql.SubqueryExpr).Sub
+	sn := db.Snapshot()
+	p, err := BuildPlanParallelAt(sn, stmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := newExecutor(db.Snapshot())
+	ex := newExecutor(sn)
 	if _, err := ex.run(p, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(ex.subCache) != 1 {
 		t.Fatalf("subCache has %d entries, want 1", len(ex.subCache))
 	}
-	for k := range ex.subCache {
-		if k.correlated {
-			t.Fatal("cached entry keyed as correlated")
-		}
+	first, ok := ex.subCache[sub]
+	if !ok {
+		t.Fatal("subquery result not cached under its statement")
+	}
+	if _, err := ex.run(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(ex.subCache) != 1 || ex.subCache[sub] != first {
+		t.Fatal("second run did not reuse the cached subquery entry")
 	}
 }

@@ -42,13 +42,39 @@ func BenchmarkVecHashJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := exec.RunAt(sn, p); err != nil { // warm-up builds layouts
+	if _, err := runAt(sn, p); err != nil { // warm-up builds layouts
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunAt(sn, p); err != nil {
+		if _, err := runAt(sn, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVecCountDistinct pins the DISTINCT-aggregate path: a
+// COUNT(DISTINCT) group-by over a join — the shape the SQL generator
+// emits for every count over a join — on the university data at scale
+// 4. The per-group seen sets must grow per distinct value, never per
+// input row.
+func BenchmarkVecCountDistinct(b *testing.B) {
+	db := dataset.University(4)
+	sn := db.Snapshot()
+	stmt := sql.MustParse("SELECT d.name, COUNT(DISTINCT s.id) FROM students s, departments d " +
+		"WHERE s.dept_id = d.dept_id GROUP BY d.name")
+	p, err := exec.BuildPlanParallelAt(sn, stmt, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := runAt(sn, p); err != nil { // warm-up builds layouts
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runAt(sn, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,27 +1,28 @@
 package exec_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
 
 // TestVecDifferentialCorpus runs every gold query of the full
-// benchmark corpus (all domains) through the vectorized pipeline and
-// the row-at-a-time pipeline at parallelism 1 and N, requiring
-// ROW-FOR-ROW identical output (order included) between the two modes
-// and bag-equal output against the materializing reference path. This
-// is the vectorized engine's end-to-end safety net: typed hash keys,
-// selection vectors, batch kernels and the node-by-node fallback must
-// never change results.
+// benchmark corpus (all domains) through the batch executor at
+// parallelism 1 and 4, requiring every plan to be batch-executed, the
+// two degrees to agree ROW-FOR-ROW (order included), and both to match
+// the materializing reference oracle as a bag. This is the executor's
+// end-to-end safety net: typed hash keys, selection vectors, batch
+// kernels and the evaluator fallback must never change results.
 func TestVecDifferentialCorpus(t *testing.T) {
 	for _, domain := range dataset.Names() {
 		db, err := dataset.ByName(domain, 1)
@@ -33,26 +34,41 @@ func TestVecDifferentialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
 			}
-			reference, err := exec.ReferenceQuery(db, stmt)
-			if err != nil {
-				t.Fatalf("%s: reference execution failed: %v\n%s", cs.ID, err, cs.Gold)
-			}
-			for _, par := range []int{1, 4} {
-				vec, err := exec.QueryParallel(db, stmt, par)
-				if err != nil {
-					t.Fatalf("%s: vectorized execution failed (par=%d): %v\n%s", cs.ID, par, err, cs.Gold)
-				}
-				row, err := exec.QueryParallelNoVec(db, stmt, par)
-				if err != nil {
-					t.Fatalf("%s: row execution failed (par=%d): %v\n%s", cs.ID, par, err, cs.Gold)
-				}
-				if err := rowsIdentical(vec, row); err != nil {
-					t.Errorf("%s (par=%d): vectorized vs row-at-a-time: %v\nsql: %s", cs.ID, par, err, cs.Gold)
-				}
-				if !bench.SameResult(vec, reference) {
-					t.Errorf("%s (par=%d): vectorized and reference results differ\nsql: %s", cs.ID, par, cs.Gold)
-				}
-			}
+			checkParity(t, db.Snapshot(), cs.ID, stmt)
+		}
+	}
+}
+
+// checkParity runs stmt at degrees 1 and 4 on sn and requires Plan.Vec,
+// row-for-row agreement between the degrees, and bag agreement with
+// the reference oracle.
+func checkParity(t *testing.T, sn *store.Snapshot, name string, stmt *sql.SelectStmt) {
+	t.Helper()
+	reference, err := exec.ReferenceQueryAt(sn, stmt)
+	if err != nil {
+		t.Fatalf("%s: reference execution failed: %v\n%s", name, err, stmt)
+	}
+	var serial *exec.Result
+	for _, par := range []int{1, 4} {
+		p, err := exec.BuildPlanParallelAt(sn, stmt, par)
+		if err != nil {
+			t.Fatalf("%s: compile failed (par=%d): %v\n%s", name, par, err, stmt)
+		}
+		if !p.Vec {
+			t.Errorf("%s: plan not batch-executed (par=%d)\n%s", name, par, stmt)
+		}
+		res, err := runAt(sn, p)
+		if err != nil {
+			t.Fatalf("%s: execution failed (par=%d): %v\n%s", name, par, err, stmt)
+		}
+		if !bench.SameResult(res, reference) {
+			t.Errorf("%s (par=%d): result differs from the reference oracle\nsql: %s\ngot:  %v\nwant: %v",
+				name, par, stmt, res.Rows, reference.Rows)
+		}
+		if serial == nil {
+			serial = res
+		} else if err := rowsIdentical(serial, res); err != nil {
+			t.Errorf("%s: par=%d vs serial: %v\nsql: %s", name, par, err, stmt)
 		}
 	}
 }
@@ -69,10 +85,9 @@ func rowsIdentical(a, b *exec.Result) error {
 	return nil
 }
 
-// TestVecDifferentialScaled repeats the vectorized differential check
-// at a larger scale on the join-heavy university corpus, and again
-// with all indexes dropped (exercising the full-scan batch path on
-// both sides).
+// TestVecDifferentialScaled repeats the differential check at a larger
+// scale on the join-heavy university corpus, and again with all
+// indexes dropped (exercising the full-scan batch path).
 func TestVecDifferentialScaled(t *testing.T) {
 	for _, drop := range []bool{false, true} {
 		db := dataset.University(2)
@@ -84,102 +99,143 @@ func TestVecDifferentialScaled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vec, err := exec.Query(db, stmt)
-			if err != nil {
-				t.Fatalf("%s: vectorized execution failed: %v", cs.ID, err)
-			}
-			row, err := exec.QueryNoVec(db, stmt)
-			if err != nil {
-				t.Fatalf("%s: row execution failed: %v", cs.ID, err)
-			}
-			if err := rowsIdentical(vec, row); err != nil {
-				t.Errorf("%s (drop=%v): %v\nsql: %s", cs.ID, drop, err, cs.Gold)
-			}
+			checkParity(t, db.Snapshot(), fmt.Sprintf("%s (drop=%v)", cs.ID, drop), stmt)
 		}
 	}
 }
 
-// TestVecFallback pins the node-by-node fallback: plans containing
-// non-vectorizable expressions (subqueries, LIKE over a computed
-// pattern) must still execute — partially in batches where possible —
-// and agree with the row path.
-func TestVecFallback(t *testing.T) {
-	db := dataset.University(1)
-	queries := []string{
-		// Correlated subquery in WHERE: the filter falls back, joins
-		// and scans below it stay vectorized.
-		"SELECT name FROM students WHERE gpa > (SELECT AVG(gpa) FROM students s2 WHERE s2.dept_id = students.dept_id)",
-		// Uncorrelated IN subquery.
-		"SELECT name FROM students WHERE dept_id IN (SELECT dept_id FROM departments WHERE name = 'Computer Science')",
-		// EXISTS.
-		"SELECT name FROM departments d WHERE EXISTS (SELECT 1 FROM students s WHERE s.dept_id = d.dept_id AND s.gpa > 3.9)",
-		// Aggregate over a subquery-filtered join.
-		"SELECT d.name, COUNT(*) FROM students s, departments d WHERE s.dept_id = d.dept_id " +
-			"AND s.gpa > (SELECT AVG(gpa) FROM students) GROUP BY d.name ORDER BY d.name",
+// fallbackDB is a two-table fixture with NULLs on a rotating schedule,
+// large enough (p: 2000 rows) that plans parallelize at degree 4, plus
+// a 2600-row table whose cross product with p exceeds MaxProduct.
+// Floats are multiples of 0.5, so sums are exact in any order.
+func fallbackDB() *store.DB {
+	s := schema.MustNew("fallback", []*schema.Table{
+		{Name: "p", Columns: []schema.Column{
+			{Name: "id", Type: schema.Int},
+			{Name: "grp", Type: schema.Int},
+			{Name: "v", Type: schema.Float},
+			{Name: "tag", Type: schema.Text},
+		}},
+		{Name: "q", Columns: []schema.Column{
+			{Name: "pid", Type: schema.Int},
+			{Name: "w", Type: schema.Int},
+		}},
+		{Name: "r", Columns: []schema.Column{
+			{Name: "id", Type: schema.Int},
+		}},
+	}, nil)
+	db := store.NewDB(s)
+	var p, q, r []store.Row
+	for i := 0; i < 2000; i++ {
+		row := store.Row{store.Int(int64(i)), store.Int(int64(i % 7)),
+			store.Float(float64(i%13) * 0.5), store.Text(fmt.Sprintf("t%d", i%4))}
+		if i%5 == 0 {
+			row[2] = store.Null()
+		}
+		if i%11 == 0 {
+			row[3] = store.Null()
+		}
+		p = append(p, row)
 	}
-	for _, q := range queries {
-		stmt := sql.MustParse(q)
-		p, err := plan.Compile(db.Snapshot(), stmt)
+	for i := 0; i < 600; i++ {
+		row := store.Row{store.Int(int64(i * 7 % 2000)), store.Int(int64(i % 9))}
+		if i%3 == 0 {
+			row[1] = store.Null()
+		}
+		q = append(q, row)
+	}
+	for i := 0; i < 2600; i++ {
+		r = append(r, store.Row{store.Int(int64(i))})
+	}
+	db.MustBulkInsert("p", p)
+	db.MustBulkInsert("q", q)
+	db.MustBulkInsert("r", r)
+	return db
+}
+
+// TestVecFallback pins the shapes the vector compiler declines — they
+// run through the evaluator fallback inside the batch operators — at
+// degrees 1 and 4, against the reference oracle and each other.
+func TestVecFallback(t *testing.T) {
+	db := fallbackDB()
+	sn := db.Snapshot()
+	cases := []struct{ name, query string }{
+		{"correlated subquery in WHERE",
+			"SELECT id FROM p WHERE id < 300 AND v > (SELECT AVG(w) FROM q WHERE q.pid = p.id)"},
+		{"correlated subquery in SELECT list",
+			"SELECT id, (SELECT COUNT(*) FROM q WHERE q.pid = p.id) FROM p WHERE id < 300 ORDER BY id"},
+		{"correlated subquery in HAVING",
+			"SELECT grp, COUNT(*) FROM p GROUP BY grp HAVING COUNT(*) > (SELECT COUNT(*) FROM q WHERE q.w = p.grp) * 4"},
+		{"uncorrelated scalar subquery",
+			"SELECT COUNT(*) FROM p WHERE v > (SELECT AVG(w) FROM q)"},
+		{"non-boolean conjunct beside a subquery",
+			"SELECT COUNT(*) FROM p WHERE grp AND id < 1500 AND v > (SELECT AVG(w) FROM q)"},
+		{"EXISTS",
+			"SELECT id FROM p WHERE id < 300 AND EXISTS (SELECT 1 FROM q WHERE q.pid = p.id AND q.w > 4)"},
+		{"NOT EXISTS",
+			"SELECT COUNT(*) FROM p WHERE NOT EXISTS (SELECT 1 FROM q WHERE q.pid = p.id)"},
+		{"IN with a NULL in the subquery",
+			"SELECT grp, COUNT(*) FROM p WHERE grp IN (SELECT w FROM q) GROUP BY grp ORDER BY grp"},
+		{"NOT IN with a NULL in the subquery",
+			"SELECT COUNT(*) FROM p WHERE grp NOT IN (SELECT w FROM q)"},
+		{"NOT IN without NULLs",
+			"SELECT COUNT(*) FROM p WHERE grp NOT IN (SELECT w FROM q WHERE w IS NOT NULL AND w > 3)"},
+		{"COUNT/AVG/SUM DISTINCT over NULLs",
+			"SELECT grp, COUNT(DISTINCT v), AVG(DISTINCT v), SUM(DISTINCT v), COUNT(DISTINCT tag), MAX(DISTINCT tag) " +
+				"FROM p GROUP BY grp ORDER BY grp"},
+		{"global DISTINCT aggregates",
+			"SELECT COUNT(DISTINCT w), AVG(DISTINCT w), COUNT(w), COUNT(*) FROM q"},
+		{"COUNT DISTINCT over a join",
+			"SELECT p.grp, COUNT(DISTINCT q.w) FROM p, q WHERE q.pid = p.id GROUP BY p.grp ORDER BY p.grp"},
+		{"bare non-grouped column",
+			"SELECT grp, tag, COUNT(*) FROM p GROUP BY grp ORDER BY grp"},
+		{"empty global group",
+			"SELECT COUNT(*), MAX(v), COUNT(DISTINCT tag), tag FROM p WHERE id < 0"},
+		{"cross join",
+			"SELECT COUNT(*), SUM(a.w) FROM q a, q b WHERE a.w > b.w"},
+		{"cross join rows",
+			"SELECT a.pid, b.pid FROM q a, q b WHERE a.w = 8 AND b.w = 1 AND a.pid < 200 ORDER BY a.pid, b.pid"},
+	}
+	for _, c := range cases {
+		checkParity(t, sn, c.name, sql.MustParse(c.query))
+	}
+
+	// A cross join over MaxProduct fails at every degree.
+	for _, par := range []int{1, 4} {
+		if _, err := queryPar(sn, sql.MustParse("SELECT COUNT(*) FROM p, r"), par); err == nil ||
+			!strings.Contains(err.Error(), "would produce over") {
+			t.Errorf("par=%d: cross join over MaxProduct returned %v, want the product error", par, err)
+		}
+	}
+
+	// Cancellation lands while a cross join emits: a 4M-row product
+	// under a per-row evaluator filter runs for seconds uncanceled, so
+	// the run must return the cause well before that.
+	cause := errors.New("request abandoned (cross join)")
+	heavy := sql.MustParse("SELECT COUNT(*) FROM p a, p b WHERE a.id + b.id > (SELECT MIN(pid) FROM q)")
+	for _, par := range []int{1, 4} {
+		p, err := exec.BuildPlanParallelAt(sn, heavy, par)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Vec {
-			t.Errorf("plan unexpectedly fully vectorizable: %s", q)
+		ctx, cancel := context.WithCancelCause(context.Background())
+		timer := time.AfterFunc(5*time.Millisecond, func() { cancel(cause) })
+		start := time.Now()
+		_, err = exec.RunBoundCountedAtCtx(ctx, sn, p, nil, 0, nil, nil)
+		elapsed := time.Since(start)
+		timer.Stop()
+		cancel(nil)
+		if !errors.Is(err, cause) {
+			t.Errorf("par=%d: canceled cross join returned %v, want cause %v", par, err, cause)
 		}
-		vec, err := exec.Query(db, stmt)
-		if err != nil {
-			t.Fatalf("execution failed: %v\n%s", err, q)
-		}
-		row, err := exec.QueryNoVec(db, stmt)
-		if err != nil {
-			t.Fatalf("row execution failed: %v\n%s", err, q)
-		}
-		if err := rowsIdentical(vec, row); err != nil {
-			t.Errorf("fallback differs from row path: %v\nsql: %s", err, q)
+		if elapsed > time.Second {
+			t.Errorf("par=%d: canceled cross join returned after %v", par, elapsed)
 		}
 	}
 }
 
-// TestVecExplainMarks pins the [vec] annotation: fully vectorizable
-// plans mark every node, and a subquery filter loses the mark while
-// its relational inputs keep it.
-func TestVecExplainMarks(t *testing.T) {
-	db := dataset.University(1)
-
-	p, err := plan.Compile(db.Snapshot(), sql.MustParse(
-		"SELECT d.name, COUNT(*) FROM students s, departments d "+
-			"WHERE s.dept_id = d.dept_id AND s.gpa > 3.5 GROUP BY d.name"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Vec {
-		t.Fatal("join-aggregate plan should be fully vectorizable")
-	}
-	for _, line := range strings.Split(p.Explain(), "\n") {
-		if !strings.Contains(line, "[vec]") {
-			t.Errorf("fully vectorizable plan has an unmarked node: %q", line)
-		}
-	}
-
-	p, err = plan.Compile(db.Snapshot(), sql.MustParse(
-		"SELECT name FROM students WHERE dept_id IN (SELECT dept_id FROM departments)"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Vec {
-		t.Fatal("subquery plan should not be fully vectorizable")
-	}
-	explain := p.Explain()
-	if !strings.Contains(explain, "filter") || containsFilterVec(explain) {
-		t.Errorf("subquery filter should lose the [vec] mark:\n%s", explain)
-	}
-	if !strings.Contains(explain, "scan students cols=2/5 [est=120 segments=1 skipped=0] [vec]") {
-		t.Errorf("scan below the fallback filter should keep [vec]:\n%s", explain)
-	}
-}
-
-// TestVecAggBigIntExact: vectorized MIN/MAX over integers must compare
-// exactly, like the row path's int store.Compare — a float64 round-trip
+// TestVecAggBigIntExact: MIN/MAX over integers must compare exactly,
+// like the reference oracle's int store.Compare — a float64 round-trip
 // collapses distinct values beyond 2^53.
 func TestVecAggBigIntExact(t *testing.T) {
 	s := schema.MustNew("big", []*schema.Table{{
@@ -197,27 +253,8 @@ func TestVecAggBigIntExact(t *testing.T) {
 	for _, q := range []string{
 		"SELECT MIN(a) FROM t",
 		"SELECT MAX(a) FROM t",
+		"SELECT COUNT(DISTINCT a) FROM t",
 	} {
-		stmt := sql.MustParse(q)
-		vec, err := exec.Query(db, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		row, err := exec.QueryNoVec(db, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rowsIdentical(vec, row); err != nil {
-			t.Errorf("%s: %v", q, err)
-		}
+		checkParity(t, db.Snapshot(), q, sql.MustParse(q))
 	}
-}
-
-func containsFilterVec(explain string) bool {
-	for _, line := range strings.Split(explain, "\n") {
-		if strings.Contains(line, "filter") && strings.Contains(line, "[vec]") {
-			return true
-		}
-	}
-	return false
 }

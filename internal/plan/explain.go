@@ -21,10 +21,7 @@ func (p *Plan) Explain() string {
 // node below an Exchange is annotated with the worker count driving
 // it. pw marks nodes inside a PartitionWise subtree, whose hash joins
 // build per-partition; an Aggregate directly over a PartitionWise
-// merges per-partition states, so both carry [partition-wise]. Nodes
-// that execute batch-at-a-time over column vectors carry [vec]; a node
-// without the mark falls back to the row iterator while its
-// vectorizable neighbors stay in batches.
+// merges per-partition states, so both carry [partition-wise].
 func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, pw bool) {
 	b.WriteString(prefix)
 	b.WriteString(n.describe())
@@ -37,9 +34,6 @@ func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int
 		if _, ok := t.In.(*PartitionWise); ok {
 			b.WriteString(" [partition-wise]")
 		}
-	}
-	if staticVec(n) {
-		b.WriteString(" [vec]")
 	}
 	if par > 1 {
 		fmt.Fprintf(b, " [par=%d]", par)

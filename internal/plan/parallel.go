@@ -12,22 +12,14 @@ import (
 // its worker pool and merge; cheaper pipelines run serially.
 const minParallelRows = 256
 
-// minParallelGroups is the smallest group count for which fanning
-// group evaluation (HAVING + aggregate items) across workers pays.
-const minParallelGroups = 8
-
-// minChunkRows is the smallest chunk a materialized row set is split
-// into for parallel hashing and grouping.
-const minChunkRows = 128
-
 // Exchange runs its subtree on a bounded pool of Workers goroutines.
 // Each worker repeatedly claims a morsel (a contiguous row range) of
 // the partitioned leaf scan, runs its own copy of the subtree's
-// iterators over just that morsel, and deposits the output rows into a
-// per-morsel slot. The merged stream concatenates the slots in morsel
+// operators over just that morsel, and deposits the output batches into
+// a per-morsel slot. The merged stream concatenates the slots in morsel
 // order, so parallel execution is row-for-row identical to the serial
 // plan. Build sides of hash joins inside the subtree are built once
-// and shared read-only across workers (see HashJoin.buildTable).
+// and shared read-only across workers (see HashJoin.build).
 type Exchange struct {
 	In      Node
 	Workers int
@@ -156,78 +148,91 @@ func partitionLeaf(n Node) Node {
 		return partitionLeaf(t.In)
 	case *HashJoin:
 		return partitionLeaf(t.L)
-	case *CrossJoin:
-		return partitionLeaf(t.L)
 	}
+	// A cross join stays serial: its MaxProduct guard must see the
+	// whole left input, not one morsel of it.
 	return nil
 }
 
-// baseRows materializes the unprojected row set of the partitioned
-// leaf: the full table for a Scan (ids nil — positions are row ids),
-// the index-selected rows and their ids for an IndexScan.
-func baseRows(n Node, ctx *Ctx) ([]store.Row, []int, Binding, error) {
+// baseSpan sizes the partitioned leaf's morsel space: the table's row
+// count for a Scan (ids nil — positions are row ids), the
+// index-selected row ids for an IndexScan.
+func baseSpan(n Node, ctx *Ctx) (total int, ids []int, err error) {
 	switch s := n.(type) {
 	case *Scan:
 		tab := ctx.Snap.Table(s.B.Meta.Name)
 		if tab == nil {
-			return nil, nil, Binding{}, errUnknownTable(s.B.Meta.Name)
+			return 0, nil, errUnknownTable(s.B.Meta.Name)
 		}
-		return tab.Rows(), nil, s.B, nil
+		return tab.Len(), nil, nil
 	case *IndexScan:
 		ids, err := s.lookupIDs(ctx)
 		if err != nil {
-			return nil, nil, Binding{}, err
+			return 0, nil, err
 		}
-		tab := ctx.Snap.Table(s.B.Meta.Name)
-		rows := make([]store.Row, len(ids))
-		for i, id := range ids {
-			rows[i] = tab.Row(id)
-		}
-		return rows, ids, s.B, nil
+		return len(ids), ids, nil
 	}
-	return nil, nil, Binding{}, errUnknownTable("<not a leaf>")
+	return 0, nil, errUnknownTable("<not a leaf>")
 }
 
 // morselRun tells a leaf scan inside a worker which slice of its base
-// rows to produce instead of the full table. The row iterator consumes
-// rows; the vectorized scan consumes the [lo, hi) range (a zero-copy
-// window over the column vectors) or, for index scans, the ids to
+// rows to produce instead of the full table: the [lo, hi) range (a
+// zero-copy window over the columns) or, for index scans, the ids to
 // gather.
 type morselRun struct {
-	node   Node // identity of the partitioned leaf
-	rows   []store.Row
+	node   Node  // identity of the partitioned leaf
 	lo, hi int   // base-table row range (Scan morsels)
 	ids    []int // index-selected row ids (IndexScan morsels)
 }
 
-func (e *Exchange) open(ctx *Ctx) (iter, error) {
-	// ctx.Par caps the plan's worker degree; an explicit Par of 1
-	// (e.g. a caller whose Evaluator is not thread-safe) degrades the
-	// exchange to a serial passthrough.
+// open runs the exchange's subtree on the worker pool: morsels hand
+// each worker a contiguous batch range of the partitioned leaf (an id
+// range for index scans), workers drain their pipelines, and the merged
+// stream concatenates morsel outputs in order — identical rows to the
+// serial plan. ctx.Par caps the plan's worker degree; an explicit Par
+// of 1 (e.g. a caller whose Evaluator is not thread-safe) degrades the
+// exchange to a serial passthrough.
+func (e *Exchange) open(ctx *Ctx) (viter, error) {
 	workers := e.Workers
 	if ctx.Par > 0 && ctx.Par < workers {
 		workers = ctx.Par
 	}
-	rows, ids, _, err := baseRows(e.part, ctx)
+	total, ids, err := baseSpan(e.part, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if workers > len(rows) {
-		workers = len(rows)
+	if workers > total {
+		workers = total
 	}
 	if workers <= 1 {
 		return e.In.open(ctx)
 	}
-
-	// Morsels adapt to the leaf: ~4 per worker for stealing slack, but
-	// never more — a small probe leaf driving heavy joins still splits,
-	// its downstream cost dwarfs the per-morsel iterator setup. A
+	// Morsels adapt to the leaf: ~4 per worker for stealing slack. A
 	// partitioned leaf cuts on partition boundaries, so workers claim
 	// whole partitions before splitting any one into smaller morsels.
-	spans := morselSpans(len(rows), workers, partBoundsFor(ctx, e.part, ids))
-	nm := len(spans)
+	spans := morselSpans(total, workers, partBoundsFor(ctx, e.part, ids))
+	outs := make([][]*vbatch, len(spans))
+	err = runPool(ctx, workers, len(spans), func(m int) error {
+		wctx := *ctx
+		mr := &morselRun{node: e.part, lo: spans[m][0], hi: spans[m][1]}
+		if ids != nil {
+			mr.ids = ids[mr.lo:mr.hi]
+		}
+		wctx.part = mr
+		var err error
+		outs[m], err = drainBatches(e.In, &wctx)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return concatBatches(outs), nil
+}
 
-	outs := make([][]store.Row, nm)
+// runPool claims tasks [0, n) atomically across workers goroutines,
+// checking cancellation at every claim; the first error stops further
+// claims and is returned once every worker has exited.
+func runPool(ctx *Ctx, workers, n int, task func(i int) error) error {
 	var next atomic.Int64
 	var failed atomic.Bool
 	var firstErr error
@@ -238,70 +243,69 @@ func (e *Exchange) open(ctx *Ctx) (iter, error) {
 		go func() {
 			defer wg.Done()
 			for {
-				m := int(next.Add(1)) - 1
-				if m >= nm || failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n || failed.Load() {
 					return
 				}
-				if err := ctx.canceled(); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
+				err := ctx.canceled()
+				if err == nil {
+					err = task(i)
 				}
-				lo, hi := spans[m][0], spans[m][1]
-				wctx := *ctx
-				wctx.scratch = nil // never share key buffers across workers
-				mr := &morselRun{node: e.part, rows: rows[lo:hi], lo: lo, hi: hi}
-				if ids != nil {
-					mr.ids = ids[lo:hi]
-				}
-				wctx.part = mr
-				out, err := drain(e.In, &wctx)
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					failed.Store(true)
 					return
 				}
-				outs[m] = out
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	return firstErr
+}
 
-	mi, ri := 0, 0
-	return func() (store.Row, error) {
-		for mi < len(outs) {
-			if ri < len(outs[mi]) {
-				r := outs[mi][ri]
-				ri++
-				return r, nil
+// drainBatches runs n to exhaustion, keeping every batch it emits.
+func drainBatches(n Node, ctx *Ctx) ([]*vbatch, error) {
+	op, err := n.open(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var batches []*vbatch
+	for {
+		b, err := op()
+		if err != nil || b == nil {
+			return batches, err
+		}
+		batches = append(batches, b)
+	}
+}
+
+// concatBatches streams per-slot batch lists in slot order — the
+// order-preserving merge of Exchange and PartitionWise.
+func concatBatches(outs [][]*vbatch) viter {
+	si, bi := 0, 0
+	return func() (*vbatch, error) {
+		for si < len(outs) {
+			if bi < len(outs[si]) {
+				b := outs[si][bi]
+				bi++
+				return b, nil
 			}
-			mi++
-			ri = 0
+			si++
+			bi = 0
 		}
 		return nil, nil
-	}, nil
+	}
 }
 
 // sharedState carries per-execution state shared by the workers of
-// every Exchange in the plan: hash-join build sides (row tables or
-// columnar vectorized builds, depending on the mode the join executes
-// in) are computed once and probed concurrently.
+// every Exchange in the plan: hash-join build sides are computed once
+// and probed concurrently.
 type sharedState struct {
-	mu        sync.Mutex
-	builds    map[*HashJoin]*buildEntry
-	vecBuilds map[*HashJoin]*vecBuildEntry
+	mu     sync.Mutex
+	builds map[*HashJoin]*buildEntry
 }
 
 type buildEntry struct {
-	once  sync.Once
-	table map[string][]store.Row
-	err   error
-}
-
-type vecBuildEntry struct {
 	once  sync.Once
 	build *vecBuildTable
 	err   error
@@ -319,186 +323,4 @@ func (s *sharedState) entry(j *HashJoin) *buildEntry {
 		s.builds[j] = e
 	}
 	return e
-}
-
-func (s *sharedState) vecEntry(j *HashJoin) *vecBuildEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.vecBuilds == nil {
-		s.vecBuilds = map[*HashJoin]*vecBuildEntry{}
-	}
-	e, ok := s.vecBuilds[j]
-	if !ok {
-		e = &vecBuildEntry{}
-		s.vecBuilds[j] = e
-	}
-	return e
-}
-
-// parallelHash builds the join hash table from already-materialized
-// build rows using per-worker partial tables merged in chunk order, so
-// the per-key row order matches a serial build exactly.
-func parallelHash(rows []store.Row, key []int, par int) map[string][]store.Row {
-	chunk := (len(rows) + par - 1) / par
-	if chunk < minChunkRows {
-		chunk = minChunkRows
-	}
-	nc := (len(rows) + chunk - 1) / chunk
-	partials := make([]map[string][]store.Row, nc)
-	var wg sync.WaitGroup
-	for c := 0; c < nc; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			part := map[string][]store.Row{}
-			var buf []byte // per-goroutine scratch, never shared
-			for _, r := range rows[lo:hi] {
-				if k, ok := appendJoinKey(buf[:0], r, key); ok {
-					buf = k
-					part[string(k)] = append(part[string(k)], r)
-				}
-			}
-			partials[c] = part
-		}(c)
-	}
-	wg.Wait()
-	if nc == 1 {
-		return partials[0]
-	}
-	table := map[string][]store.Row{}
-	for _, part := range partials {
-		for k, rs := range part {
-			table[k] = append(table[k], rs...)
-		}
-	}
-	return table
-}
-
-// parallelGroups partitions input rows into GROUP BY groups using
-// per-worker partial group maps merged in chunk order: group discovery
-// order and the row order inside every group match the serial
-// partitioning exactly.
-func (a *Aggregate) parallelGroups(ctx *Ctx, rel *Rel, input []store.Row, par int) ([]*Group, error) {
-	type partial struct {
-		byKey map[string]*Group
-		order []string
-	}
-	chunk := (len(input) + par - 1) / par
-	if chunk < minChunkRows {
-		chunk = minChunkRows
-	}
-	nc := (len(input) + chunk - 1) / chunk
-	partials := make([]partial, nc)
-	errs := make([]error, nc)
-	var wg sync.WaitGroup
-	for c := 0; c < nc; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > len(input) {
-				hi = len(input)
-			}
-			if err := ctx.canceled(); err != nil {
-				errs[c] = err
-				return
-			}
-			p := partial{byKey: map[string]*Group{}}
-			frame := &Frame{Rel: rel, Parent: ctx.Parent}
-			var buf []byte // per-goroutine scratch, never shared
-			for _, r := range input[lo:hi] {
-				frame.Row = r
-				k, err := a.appendGroupKey(ctx, frame, buf[:0])
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				buf = k
-				g, ok := p.byKey[string(k)]
-				if !ok {
-					g = &Group{Rel: rel, Parent: ctx.Parent}
-					p.byKey[string(k)] = g
-					p.order = append(p.order, string(k))
-				}
-				g.Rows = append(g.Rows, r)
-			}
-			partials[c] = p
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	byKey := map[string]*Group{}
-	var groups []*Group
-	for _, p := range partials {
-		for _, k := range p.order {
-			g, ok := byKey[k]
-			if !ok {
-				byKey[k] = p.byKey[k]
-				groups = append(groups, p.byKey[k])
-				continue
-			}
-			g.Rows = append(g.Rows, p.byKey[k].Rows...)
-		}
-	}
-	return groups, nil
-}
-
-// evalGroups evaluates HAVING and the output items of every group,
-// fanning the independent group evaluations across par workers while
-// keeping group order: slot i of the result belongs to group i, with
-// nil marking a group HAVING filtered out.
-func (a *Aggregate) evalGroups(ctx *Ctx, groups []*Group, par int) ([]store.Row, error) {
-	out := make([]store.Row, len(groups))
-	if par > len(groups) {
-		par = len(groups)
-	}
-	var next atomic.Int64
-	errs := make([]error, par)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= len(groups) {
-					return
-				}
-				if err := ctx.canceled(); err != nil {
-					errs[w] = err
-					return
-				}
-				row, keep, err := a.evalGroup(ctx, groups[gi])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if keep {
-					out[gi] = row
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	kept := out[:0]
-	for _, r := range out {
-		if r != nil {
-			kept = append(kept, r)
-		}
-	}
-	return kept, nil
 }

@@ -2,8 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/store"
 )
@@ -24,7 +22,7 @@ import (
 
 // PartitionWise runs its subtree once per partition on a bounded pool
 // of Workers goroutines. Each worker repeatedly claims a whole
-// partition and runs its own copy of the subtree's iterators with
+// partition and runs its own copy of the subtree's operators with
 // every partitioned leaf scan pinned to that partition — hash joins
 // inside build per-partition tables (never the shared build side an
 // Exchange uses), which is sound because the plan-time eligibility
@@ -90,120 +88,30 @@ func (e *PartitionWise) ready(ctx *Ctx) (workers int, ok bool) {
 	return workers, true
 }
 
-// runParts drives the worker pool: partitions are claimed atomically,
-// each worker's context gets a fresh scratch buffer, no shared build
-// state (builds are per-partition by construction) and a serial inner
-// degree — the parallelism budget is the partition fan-out itself.
-func (e *PartitionWise) runParts(ctx *Ctx, workers int, run func(wctx *Ctx, p int) error) error {
-	var next atomic.Int64
-	var failed atomic.Bool
-	var firstErr error
-	var errOnce sync.Once
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= e.N || failed.Load() {
-					return
-				}
-				if err := ctx.canceled(); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-				wctx := *ctx
-				wctx.scratch = nil
-				wctx.shared = nil
-				wctx.Par = 1
-				wctx.pw = &pwRun{pi: p, scans: e.scans}
-				if err := run(&wctx, p); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-func (e *PartitionWise) open(ctx *Ctx) (iter, error) {
+// open drives the worker pool: partitions are claimed atomically, and
+// each worker's context gets no shared build state (builds are
+// per-partition by construction) and a serial inner degree — the
+// parallelism budget is the partition fan-out itself. Outputs merge in
+// partition order.
+func (e *PartitionWise) open(ctx *Ctx) (viter, error) {
 	workers, ok := e.ready(ctx)
 	if !ok {
 		return e.In.open(ctx)
 	}
-	outs := make([][]store.Row, e.N)
-	err := e.runParts(ctx, workers, func(wctx *Ctx, p int) error {
-		out, err := drain(e.In, wctx)
-		if err != nil {
-			return err
-		}
-		outs[p] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pi, ri := 0, 0
-	return func() (store.Row, error) {
-		for pi < len(outs) {
-			if ri < len(outs[pi]) {
-				r := outs[pi][ri]
-				ri++
-				return r, nil
-			}
-			pi++
-			ri = 0
-		}
-		return nil, nil
-	}, nil
-}
-
-func (e *PartitionWise) vopen(ctx *Ctx) (viter, error) {
-	workers, ok := e.ready(ctx)
-	if !ok {
-		return vecOpen(e.In, ctx)
-	}
 	outs := make([][]*vbatch, e.N)
-	err := e.runParts(ctx, workers, func(wctx *Ctx, p int) error {
-		op, err := vecOpen(e.In, wctx)
-		if err != nil {
-			return err
-		}
-		var batches []*vbatch
-		for {
-			b, err := op()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			batches = append(batches, b)
-		}
-		outs[p] = batches
-		return nil
+	err := runPool(ctx, workers, e.N, func(p int) error {
+		wctx := *ctx
+		wctx.shared = nil
+		wctx.Par = 1
+		wctx.pw = &pwRun{pi: p, scans: e.scans}
+		var err error
+		outs[p], err = drainBatches(e.In, &wctx)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	pi, bi := 0, 0
-	return func() (*vbatch, error) {
-		for pi < len(outs) {
-			if bi < len(outs[pi]) {
-				b := outs[pi][bi]
-				bi++
-				return b, nil
-			}
-			pi++
-			bi = 0
-		}
-		return nil, nil
-	}, nil
+	return concatBatches(outs), nil
 }
 
 // ---- plan-time eligibility ----
@@ -298,17 +206,7 @@ func offsetIsPartCol(sn *store.Snapshot, rel *Rel, off int) bool {
 // usual). The decision reads only per-partition statistics and the
 // probe values — never rows or segments — so a pruned partition does
 // zero segment I/O.
-func (s *Scan) pruneParts(ctx *Ctx, tab *store.TableSnap) [][2]int {
-	if tab.NumParts() <= 1 {
-		return nil
-	}
-	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
-	return s.prunePartsBound(ctx, tab, preds, skipAll)
-}
-
-// prunePartsBound is pruneParts for a caller that already bound the
-// skip set (the vectorized scan binds it once for both decisions).
-func (s *Scan) prunePartsBound(ctx *Ctx, tab *store.TableSnap, preds []boundZone, skipAll bool) [][2]int {
+func (s *Scan) pruneParts(ctx *Ctx, tab *store.TableSnap, preds []boundZone, skipAll bool) [][2]int {
 	n := tab.NumParts()
 	if n <= 1 {
 		return nil
@@ -442,29 +340,6 @@ func partScanStats(sn *store.Snapshot, b Binding, skips []ZonePred, params []sto
 }
 
 // ---- iterator plumbing ----
-
-// projectRowRanges is projectRows over the kept global row ranges of a
-// partition-pruned scan, in ascending (canonical) order.
-func projectRowRanges(rows []store.Row, ranges [][2]int, b Binding) iter {
-	ri := 0
-	var cur iter
-	return func() (store.Row, error) {
-		for {
-			if cur == nil {
-				if ri >= len(ranges) {
-					return nil, nil
-				}
-				cur = projectRows(rows[ranges[ri][0]:ranges[ri][1]], b)
-				ri++
-			}
-			r, err := cur()
-			if err != nil || r != nil {
-				return r, err
-			}
-			cur = nil
-		}
-	}
-}
 
 // chainViters concatenates batch iterators in order.
 func chainViters(its []viter) viter {

@@ -2,7 +2,8 @@
 // the store: a logical-plan IR built from sql.SelectStmt (Build), a
 // cost-aware rewriter doing predicate pushdown, column pruning and
 // index-aware join ordering driven by table statistics (Optimize), a
-// Volcano-style streaming executor (Run) and an Explain renderer.
+// batch-at-a-time executor over typed column vectors (Run) and an
+// Explain renderer.
 //
 // The scalar-expression semantics (three-valued logic, correlated
 // subqueries, aggregates) stay in internal/exec, which implements the
@@ -131,8 +132,8 @@ type Node interface {
 	// rows are output values, not table slots.
 	Rel() *Rel
 	Children() []Node
-	// open starts the operator's iterator in ctx.
-	open(ctx *Ctx) (iter, error)
+	// open starts the operator's batch iterator in ctx.
+	open(ctx *Ctx) (viter, error)
 	// describe renders the operator's Explain line (without tree art).
 	describe() string
 }
@@ -265,11 +266,10 @@ func (l *Limit) Children() []Node     { return []Node{l.In} }
 
 // Plan is a compiled query: the operator tree plus output column names.
 // Par records the worker degree Parallelize rewrote the tree for
-// (0 or 1 means serial). Vec records that every operator vectorizes,
-// so Run executes the whole tree batch-at-a-time over typed column
-// vectors; plans with non-vectorizable expressions still batch-execute
-// their vectorizable sections, falling back to row iterators
-// node-by-node (Ctx.NoVec disables vectorization entirely).
+// (0 or 1 means serial). Vec records that Run executes the tree
+// batch-at-a-time; it is true for every plan, since expressions the
+// vector compiler declines run through the evaluator fallback inside
+// the batch operators.
 type Plan struct {
 	Root Node
 	Cols []string

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/sql"
@@ -19,7 +20,8 @@ import (
 // IN over literal lists, LIKE against a literal pattern, IS NULL.
 // Anything else (subqueries, correlation, cross-kind comparisons,
 // aggregate calls outside the Aggregate operator) declines, and the
-// node falls back to the row-at-a-time iterator.
+// operator evaluates that expression through the evaluator fallback
+// (see rowEval in vecexec.go).
 
 // maxBatch is the number of rows a scan packs into one batch: large
 // enough to amortize per-batch overhead, small enough to keep a
@@ -95,6 +97,14 @@ func (b *vbatch) rows() int {
 		return len(b.sel)
 	}
 	return b.n
+}
+
+// at returns the physical row index of the k-th selected row.
+func (b *vbatch) at(k int) int {
+	if b.sel != nil {
+		return int(b.sel[k])
+	}
+	return k
 }
 
 // forSel calls f for every selected physical row index.
@@ -767,32 +777,17 @@ func (v *vlike) eval(b *vbatch) vcol {
 // handled=false to let structural compilation proceed, or handled=true
 // with a nil vexpr to decline.
 //
-// Parameter slots resolve in one of two modes. The structural mode
-// (compileRel — the staticVec/fullyVec vectorizability checks)
-// substitutes a kind-representative surrogate that is never evaluated:
-// every structural decision depends only on the parameter's declared
-// kind, so the check agrees with any later bound compile of the same
-// shape. The runtime mode (compileRelWith — operator vopens) resolves
-// through the run's actual vector and *declines* on a missing slot,
-// sending the expression to the row path, which raises the unbound-
-// parameter error — a plan executed without its vector must fail
-// loudly, never silently filter on a surrogate.
+// Parameter slots resolve through the run's actual vector and decline
+// on a missing slot, sending the expression to the evaluator fallback,
+// which raises the unbound-parameter error — a plan executed without
+// its vector must fail loudly, never silently filter on a stand-in.
 type vcompiler struct {
-	resolve    func(e sql.Expr) (vexpr, bool)
-	params     []store.Value
-	structural bool
+	resolve func(e sql.Expr) (vexpr, bool)
+	params  []store.Value
 }
 
-// compileRel builds a structural-mode compiler over a relational row
-// shape.
-func compileRel(rel *Rel) *vcompiler {
-	c := compileRelWith(rel, nil)
-	c.structural = true
-	return c
-}
-
-// compileRelWith builds a runtime-mode compiler with the run's
-// parameter vector bound.
+// compileRelWith builds a compiler over a relational row shape with
+// the run's parameter vector bound.
 func compileRelWith(rel *Rel, params []store.Value) *vcompiler {
 	kinds := relKinds(rel)
 	return &vcompiler{params: params, resolve: func(e sql.Expr) (vexpr, bool) {
@@ -803,39 +798,20 @@ func compileRelWith(rel *Rel, params []store.Value) *vcompiler {
 		off, found, ambiguous := OffsetIn(rel, ref)
 		if !found || ambiguous {
 			// Unknown here: correlation into an outer frame, a pruned
-			// column, or an ambiguous name — all row-path territory.
+			// column, or an ambiguous name — all evaluator territory.
 			return nil, true
 		}
 		return &vcolRef{off: off, k: kinds[off]}, true
 	}}
 }
 
-// paramVal resolves a parameter slot per the compiler's mode; ok is
-// false when a runtime compile finds no bound value.
+// paramVal resolves a parameter slot; ok is false when the run has no
+// bound value for it.
 func (c *vcompiler) paramVal(p sql.Param) (store.Value, bool) {
 	if p.Idx >= 0 && p.Idx < len(c.params) {
 		return c.params[p.Idx], true
 	}
-	if c.structural {
-		return surrogateVal(p.Kind), true
-	}
 	return store.Value{}, false
-}
-
-// surrogateVal is a kind-representative stand-in value used only to
-// answer "would this expression vectorize" — never evaluated.
-func surrogateVal(k store.Kind) store.Value {
-	switch k {
-	case store.KindInt:
-		return store.Int(0)
-	case store.KindFloat:
-		return store.Float(0)
-	case store.KindText:
-		return store.Text("")
-	case store.KindBool:
-		return store.Bool(false)
-	}
-	return store.Null()
 }
 
 func numericOrNull(k store.Kind) bool {
@@ -880,7 +856,7 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 			}
 			comparable := (numericOrNull(lk) && numericOrNull(rk)) || lk == rk
 			if !comparable {
-				return nil, false // cross-kind comparison: row path
+				return nil, false // cross-kind comparison: evaluator
 			}
 			return &vcmp{op: n.Op, l: l, r: r}, true
 		default: // arithmetic
@@ -908,7 +884,7 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 			return &vnot{x: x}, true
 		}
 		// NOT over a non-boolean: the scalar path treats any non-TRUE
-		// value as falsy; reproduce by declining to the row path.
+		// value as falsy; reproduce by declining to the evaluator.
 		return nil, false
 	case *sql.NegExpr:
 		x, ok := c.compile(n.X)
@@ -1022,22 +998,8 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 		}
 		return &vlike{x: x, pattern: pat.Str(), negated: n.Negated}, true
 	}
-	// FuncCall (aggregates), subqueries, EXISTS: row path.
+	// FuncCall (aggregates), subqueries, EXISTS: evaluator.
 	return nil, false
-}
-
-// compilesOver reports whether every expression compiles over rel.
-func compilesOver(rel *Rel, exprs ...sql.Expr) bool {
-	c := compileRel(rel)
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		if _, ok := c.compile(e); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // ---- typed hashing ----
@@ -1125,7 +1087,7 @@ func hashCol(c *vcol, n int, hs []uint64) {
 // key-equality semantics: NULLs equal each other (grouping semantics —
 // join kernels exclude NULL keys before probing), numerics compare
 // consistently with Value.Key equality, and NaN equals NaN (one group,
-// matching the row path's "NaN" key string).
+// matching Value.Key's "NaN" key string).
 func eqVals(a *vcol, i int, b *vcol, j int) bool {
 	an := a.kind == store.KindNull || a.null(i)
 	bn := b.kind == store.KindNull || b.null(j)
@@ -1190,9 +1152,35 @@ func newColbuf(kind store.Kind) *colbuf { return &colbuf{kind: kind} }
 
 func (cb *colbuf) len() int { return len(cb.nulls) }
 
+// widen adopts kind k for a builder that has seen only NULLs so far
+// (kind KindNull), backfilling zero payload under those NULLs. An
+// evaluator-fallback column learns its kind from its first non-NULL
+// value, so a consumer that typed its buffer from an all-NULL batch
+// converts on the first real value.
+func (cb *colbuf) widen(k store.Kind) {
+	if cb.kind != store.KindNull || k == store.KindNull {
+		return
+	}
+	cb.kind = k
+	n := len(cb.nulls)
+	switch k {
+	case store.KindInt:
+		cb.ints = make([]int64, n)
+	case store.KindFloat:
+		cb.floats = make([]float64, n)
+	case store.KindText:
+		cb.strs = make([]string, n)
+	case store.KindBool:
+		cb.bools = make([]bool, n)
+	}
+}
+
 // push appends value i of src.
 func (cb *colbuf) push(src *vcol, i int) {
 	isNull := src.kind == store.KindNull || src.null(i)
+	if !isNull {
+		cb.widen(src.kind)
+	}
 	cb.nulls = append(cb.nulls, isNull)
 	if isNull {
 		cb.anyNull = true
@@ -1225,10 +1213,17 @@ func (cb *colbuf) push(src *vcol, i int) {
 	}
 }
 
-// pushValue appends a boxed value directly (the rows-to-batches
-// adapter path), with no intermediate column wrapper.
-func (cb *colbuf) pushValue(v store.Value) {
+// pushBoxed appends an evaluator result. The column's kind is fixed
+// by its first non-NULL value (see widen); a later value of another
+// kind is an error rather than a silent coercion.
+func (cb *colbuf) pushBoxed(v store.Value) error {
 	isNull := v.IsNull()
+	if !isNull {
+		cb.widen(v.Kind())
+		if v.Kind() != cb.kind {
+			return fmt.Errorf("plan: expression yields both %s and %s values", cb.kind, v.Kind())
+		}
+	}
 	cb.nulls = append(cb.nulls, isNull)
 	if isNull {
 		cb.anyNull = true
@@ -1244,6 +1239,7 @@ func (cb *colbuf) pushValue(v store.Value) {
 	case store.KindBool:
 		cb.bools = append(cb.bools, v.BoolVal())
 	}
+	return nil
 }
 
 // pushStore appends row id of a store column vector, honoring its

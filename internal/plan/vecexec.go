@@ -1,211 +1,97 @@
 package plan
 
 import (
+	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/sql"
 	"repro/internal/store"
 )
 
-// This file is the operator half of the vectorized executor:
-// batch-at-a-time scan, filter, project, hash join, aggregate, sort,
-// distinct and limit over the typed column vectors of vec.go, plus the
-// adapters that let vectorized and row-at-a-time operators nest freely
-// in either direction (rowSource wraps a row subtree into batches,
-// vecIter wraps a batch subtree into a row iterator).
+// This file is the operator half of the batch executor: batch-at-a-time
+// scan, filter, project, hash and cross join, aggregate, sort, distinct
+// and limit over the typed column vectors of vec.go. It is the only
+// executor: expressions the vector compiler declines — subqueries,
+// outer (correlated) references, bare non-grouped columns — run through
+// the evaluator fallback inside the same operators, one selected row
+// (rowEval) or one group (Evaluator.EvalGroup) at a time.
 //
-// Every operator preserves the row path's output order exactly, so a
-// vectorized plan is row-for-row identical to its serial row-at-a-time
-// execution — the property the differential tests pin.
+// Every operator emits rows in a deterministic order (input order for
+// streaming operators, first-seen order for groups), so a parallel run
+// is row-for-row identical to the serial one — the property the
+// differential tests pin.
 
 // viter is a pull iterator over batches; nil signals exhaustion.
 // Returned batches always have at least one selected row.
 type viter func() (*vbatch, error)
 
-// fullyVec reports whether every operator in the tree vectorizes —
-// the "vectorized pipeline chosen end-to-end" property Plan.Vec
-// records. Pipeline operators without expressions of their own
-// (Sort/Distinct/Limit/Exchange) vectorize with their inputs.
-func fullyVec(root Node) bool {
-	all := true
-	Walk(root, func(n Node) {
-		switch n.(type) {
-		case *Distinct, *Sort, *Limit, *Exchange, *PartitionWise:
-		default:
-			if !staticVec(n) {
-				all = false
-			}
-		}
-	})
-	return all
+// rowEval is the evaluator fallback for per-row expressions: it boxes
+// one selected row of a batch into a reusable frame (whose parent is
+// the run's correlation frame) and evaluates through ctx.Ev. Frames are
+// per operator instance, so Exchange workers never share one.
+type rowEval struct {
+	ev    Evaluator
+	frame Frame
 }
 
-// staticVec reports whether node n executes batch-at-a-time: its own
-// expressions must compile to vector programs. Operators above the
-// projection boundary (Sort/Distinct/Limit) vectorize exactly when
-// their input does — wrapping a row-mode projection in batches buys
-// nothing. A node whose expressions decline (subqueries, correlation,
-// cross-kind comparisons) falls back to the row iterator while its
-// neighbors stay vectorized.
-func staticVec(n Node) bool {
-	switch t := n.(type) {
-	case *Scan, *IndexScan:
-		return true
-	case *Filter:
-		return compilesOver(t.In.Rel(), t.Pred)
-	case *HashJoin:
-		return true
-	case *CrossJoin:
-		return false
-	case *Project:
-		exprs := append(append([]sql.Expr{}, t.Items...), t.SortKeys...)
-		return compilesOver(t.In.Rel(), exprs...)
-	case *Aggregate:
-		_, ok := planVecAgg(t, nil, true)
-		return ok
-	case *Distinct:
-		return staticVec(t.In)
-	case *Sort:
-		return staticVec(t.In)
-	case *Limit:
-		return staticVec(t.In)
-	case *Exchange:
-		return staticVec(t.In)
-	case *PartitionWise:
-		return staticVec(t.In)
+func newRowEval(ctx *Ctx, rel *Rel) *rowEval {
+	return &rowEval{ev: ctx.Ev, frame: Frame{Rel: rel, Row: make(store.Row, rel.Width), Parent: ctx.Parent}}
+}
+
+// load boxes physical row i of b into the frame.
+func (r *rowEval) load(b *vbatch, i int) {
+	for c := range b.cols {
+		r.frame.Row[c] = b.cols[c].value(i)
 	}
-	return false
 }
 
-// vecOpen starts the batch iterator of a vectorizable node. Callers
-// must have checked staticVec(n).
-func vecOpen(n Node, ctx *Ctx) (viter, error) {
-	switch t := n.(type) {
-	case *Scan:
-		// Leaf scans carry the cancellation checkpoint: every batch a
-		// vectorized pipeline processes is pulled through a leaf, so a
-		// per-batch check here covers the whole operator tree.
-		it, err := t.vopen(ctx)
+func (r *rowEval) eval(e sql.Expr) (store.Value, error) { return r.ev.Eval(&r.frame, e) }
+
+// drainCols materializes a batch stream into dense columns of the
+// given kinds (nil: the first batch's kinds), returning the row count
+// separately so zero-width inputs still count their rows.
+func drainCols(in viter, kinds []store.Kind) ([]vcol, int, error) {
+	var bufs []*colbuf
+	for _, k := range kinds {
+		bufs = append(bufs, newColbuf(k))
+	}
+	rows := 0
+	for {
+		b, err := in()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return ctxViter(ctx, it), nil
-	case *IndexScan:
-		it, err := t.vopen(ctx)
-		if err != nil {
-			return nil, err
+		if b == nil {
+			break
 		}
-		return ctxViter(ctx, it), nil
-	case *Filter:
-		return t.vopen(ctx)
-	case *HashJoin:
-		return t.vopen(ctx)
-	case *Project:
-		return t.vopen(ctx)
-	case *Aggregate:
-		return t.vopen(ctx)
-	case *Distinct:
-		return t.vopen(ctx)
-	case *Sort:
-		return t.vopen(ctx)
-	case *Limit:
-		return t.vopen(ctx)
-	case *Exchange:
-		return t.vopen(ctx)
-	case *PartitionWise:
-		return t.vopen(ctx)
-	}
-	return nil, errUnknownTable("<not vectorizable>")
-}
-
-// vecChild opens a relational child: vectorized when it can be,
-// adapted from its row iterator otherwise (node-by-node fallback).
-func vecChild(n Node, ctx *Ctx) (viter, error) {
-	if staticVec(n) {
-		return vecOpen(n, ctx)
-	}
-	return rowSource(n, ctx)
-}
-
-// rowSource adapts a row-at-a-time subtree into batches. Only
-// relational nodes are adapted — their column kinds are known from the
-// schema bindings.
-func rowSource(n Node, ctx *Ctx) (viter, error) {
-	it, err := n.open(ctx)
-	if err != nil {
-		return nil, err
-	}
-	kinds := relKinds(n.Rel())
-	done := false
-	return func() (*vbatch, error) {
-		if done {
-			return nil, nil
-		}
-		bufs := make([]*colbuf, len(kinds))
-		for c, k := range kinds {
-			bufs[c] = newColbuf(k)
-		}
-		rows := 0
-		for rows < maxBatch {
-			r, err := it()
-			if err != nil {
-				return nil, err
-			}
-			if r == nil {
-				done = true
-				break
-			}
-			for c := range bufs {
-				bufs[c].pushValue(r[c])
-			}
-			rows++
-		}
-		if rows == 0 {
-			return nil, nil
-		}
-		b := &vbatch{n: rows, cols: make([]vcol, len(bufs))}
-		for c := range bufs {
-			b.cols[c] = bufs[c].col()
-		}
-		return b, nil
-	}, nil
-}
-
-// vecIter adapts a batch iterator into a row iterator — the bridge a
-// row-mode parent uses over a vectorized subtree.
-func vecIter(op viter) iter {
-	var b *vbatch
-	pos := 0
-	return func() (store.Row, error) {
-		for {
-			if b == nil {
-				nb, err := op()
-				if err != nil {
-					return nil, err
-				}
-				if nb == nil {
-					return nil, nil
-				}
-				b, pos = nb, 0
-			}
-			if pos >= b.rows() {
-				b = nil
-				continue
-			}
-			i := pos
-			if b.sel != nil {
-				i = int(b.sel[pos])
-			}
-			pos++
-			row := make(store.Row, len(b.cols))
+		if bufs == nil {
+			bufs = make([]*colbuf, len(b.cols))
 			for c := range b.cols {
-				row[c] = b.cols[c].value(i)
+				bufs[c] = newColbuf(b.cols[c].kind)
 			}
-			return row, nil
 		}
+		rows += b.rows()
+		b.forSel(func(i int) {
+			for c := range bufs {
+				bufs[c].push(&b.cols[c], i)
+			}
+		})
 	}
+	cols := make([]vcol, len(bufs))
+	for c := range bufs {
+		cols[c] = bufs[c].col()
+	}
+	return cols, rows, nil
+}
+
+// collect drains a relational child into dense columns of its row
+// shape — the materialized side of a join.
+func collect(n Node, ctx *Ctx) ([]vcol, int, error) {
+	in, err := n.open(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	return drainCols(in, relKinds(n.Rel()))
 }
 
 // ---- scans ----
@@ -280,7 +166,18 @@ func gatherBatches(cvs []*store.ColVec, ids []int) viter {
 	}
 }
 
-func (s *Scan) vopen(ctx *Ctx) (viter, error) {
+// open starts the scan. Leaf scans carry the cancellation checkpoint:
+// every batch a pipeline processes is pulled through a leaf, so a
+// per-batch check here covers the whole operator tree.
+func (s *Scan) open(ctx *Ctx) (viter, error) {
+	it, err := s.batches(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return ctxViter(ctx, it), nil
+}
+
+func (s *Scan) batches(ctx *Ctx) (viter, error) {
 	tab := ctx.Snap.Table(s.B.Meta.Name)
 	if tab == nil {
 		return nil, errUnknownTable(s.B.Meta.Name)
@@ -295,6 +192,9 @@ func (s *Scan) vopen(ctx *Ctx) (viter, error) {
 			}
 		}
 	}
+	// Skip predicates re-bind against this run's parameters, so a
+	// prepared template skips and prunes per its bound constants.
+	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
 	if ctx.NoSeg {
 		cvs := retainedVecs(tab, s.B)
 		if mr := ctx.part; mr != nil && mr.node == Node(s) {
@@ -303,7 +203,7 @@ func (s *Scan) vopen(ctx *Ctx) (viter, error) {
 			}
 			return sliceBatches(cvs, mr.lo, mr.hi), nil
 		}
-		if ranges := s.pruneParts(ctx, tab); ranges != nil {
+		if ranges := s.pruneParts(ctx, tab, preds, skipAll); ranges != nil {
 			its := make([]viter, len(ranges))
 			for i, r := range ranges {
 				its[i] = sliceBatches(cvs, r[0], r[1])
@@ -312,9 +212,6 @@ func (s *Scan) vopen(ctx *Ctx) (viter, error) {
 		}
 		return sliceBatches(cvs, 0, tab.Len()), nil
 	}
-	// Segment path: skip predicates re-bind against this run's
-	// parameters, so a prepared template skips per its bound constants.
-	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
 	ss := tab.Segments()
 	if mr := ctx.part; mr != nil && mr.node == Node(s) {
 		if mr.ids != nil {
@@ -325,7 +222,7 @@ func (s *Scan) vopen(ctx *Ctx) (viter, error) {
 	// Partition boundaries are segment boundaries in the merged set, so
 	// a pruned partition's segments are never located, faulted or
 	// decoded — pruning happens strictly before any segment I/O.
-	if ranges := s.prunePartsBound(ctx, tab, preds, skipAll); ranges != nil {
+	if ranges := s.pruneParts(ctx, tab, preds, skipAll); ranges != nil {
 		its := make([]viter, len(ranges))
 		for i, r := range ranges {
 			its[i] = segScanBatches(ctx, ss, s.B, r[0], r[1], preds, skipAll)
@@ -335,7 +232,15 @@ func (s *Scan) vopen(ctx *Ctx) (viter, error) {
 	return segScanBatches(ctx, ss, s.B, 0, ss.N, preds, skipAll), nil
 }
 
-func (s *IndexScan) vopen(ctx *Ctx) (viter, error) {
+func (s *IndexScan) open(ctx *Ctx) (viter, error) {
+	it, err := s.batches(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return ctxViter(ctx, it), nil
+}
+
+func (s *IndexScan) batches(ctx *Ctx) (viter, error) {
 	tab := ctx.Snap.Table(s.B.Meta.Name)
 	if tab == nil {
 		return nil, errUnknownTable(s.B.Meta.Name)
@@ -533,14 +438,33 @@ func (cb *colbuf) pushSegCol(sc *store.SegCol, i int) {
 
 // ---- filter ----
 
-func (f *Filter) vopen(ctx *Ctx) (viter, error) {
-	in, err := vecChild(f.In, ctx)
+// open filters batches by narrowing their selection. A predicate that
+// compiles runs as one vector program; otherwise its compilable
+// conjuncts run as vector programs and the rest (subqueries, outer
+// references) are tested per surviving row through the evaluator, in
+// their written order, stopping at the first non-TRUE one.
+func (f *Filter) open(ctx *Ctx) (viter, error) {
+	in, err := f.In.open(ctx)
 	if err != nil {
 		return nil, err
 	}
-	pred, ok := compileRelWith(f.In.Rel(), ctx.Params).compile(f.Pred)
-	if !ok {
-		return nil, errUnknownTable("<filter predicate not vectorizable>")
+	c := compileRelWith(f.In.Rel(), ctx.Params)
+	var preds []vexpr
+	var rest []sql.Expr
+	if pred, ok := c.compile(f.Pred); ok {
+		preds = append(preds, pred)
+	} else {
+		for _, e := range conjuncts(f.Pred) {
+			if pred, ok := c.compile(e); ok {
+				preds = append(preds, pred)
+			} else {
+				rest = append(rest, e)
+			}
+		}
+	}
+	var re *rowEval
+	if len(rest) > 0 {
+		re = newRowEval(ctx, f.In.Rel())
 	}
 	return func() (*vbatch, error) {
 		for {
@@ -548,17 +472,41 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 			if err != nil || b == nil {
 				return nil, err
 			}
-			pc := pred.eval(b)
-			sel := make([]int32, 0, b.rows())
-			b.forSel(func(i int) {
-				if pc.kind == store.KindBool && !pc.null(i) && pc.bools[i] {
-					sel = append(sel, int32(i))
+			for _, pred := range preds {
+				pc := pred.eval(b)
+				sel := make([]int32, 0, b.rows())
+				b.forSel(func(i int) {
+					if pc.kind == store.KindBool && !pc.null(i) && pc.bools[i] {
+						sel = append(sel, int32(i))
+					}
+				})
+				b.sel = sel
+			}
+			if re != nil {
+				sel := make([]int32, 0, b.rows())
+				for k, n := 0, b.rows(); k < n; k++ {
+					i := b.at(k)
+					re.load(b, i)
+					keep := true
+					for _, e := range rest {
+						v, err := re.eval(e)
+						if err != nil {
+							return nil, err
+						}
+						if !IsTrue(v) {
+							keep = false
+							break
+						}
+					}
+					if keep {
+						sel = append(sel, int32(i))
+					}
 				}
-			})
-			if len(sel) == 0 {
+				b.sel = sel
+			}
+			if len(b.sel) == 0 {
 				continue
 			}
-			b.sel = sel
 			return b, nil
 		}
 	}, nil
@@ -574,47 +522,25 @@ type vecBuildTable struct {
 	table map[uint64][]int32
 }
 
-func (j *HashJoin) vecBuild(ctx *Ctx) (*vecBuildTable, error) {
+// build materializes and hashes the join's right input. Inside a
+// parallel run the table is built exactly once (the first worker to
+// arrive builds, the rest wait on the entry's once) and then probed
+// concurrently.
+func (j *HashJoin) build(ctx *Ctx) (*vecBuildTable, error) {
 	if ctx.shared == nil {
-		return j.vecBuildLocal(ctx)
+		return j.buildLocal(ctx)
 	}
-	e := ctx.shared.vecEntry(j)
-	e.once.Do(func() { e.build, e.err = j.vecBuildLocal(ctx) })
+	e := ctx.shared.entry(j)
+	e.once.Do(func() { e.build, e.err = j.buildLocal(ctx) })
 	return e.build, e.err
 }
 
-func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
-	in, err := vecChild(j.R, ctx)
+func (j *HashJoin) buildLocal(ctx *Ctx) (*vecBuildTable, error) {
+	cols, n, err := collect(j.R, ctx)
 	if err != nil {
 		return nil, err
 	}
-	kinds := relKinds(j.R.Rel())
-	bufs := make([]*colbuf, len(kinds))
-	for c, k := range kinds {
-		bufs[c] = newColbuf(k)
-	}
-	for {
-		b, err := in()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		b.forSel(func(i int) {
-			for c := range bufs {
-				bufs[c].push(&b.cols[c], i)
-			}
-		})
-	}
-	bt := &vecBuildTable{cols: make([]vcol, len(bufs)), table: map[uint64][]int32{}}
-	for c := range bufs {
-		bt.cols[c] = bufs[c].col()
-	}
-	n := 0
-	if len(bufs) > 0 {
-		n = bufs[0].len()
-	}
+	bt := &vecBuildTable{cols: cols, table: map[uint64][]int32{}}
 	hs := make([]uint64, n)
 	for _, off := range j.RKey {
 		hashCol(&bt.cols[off], n, hs)
@@ -635,12 +561,12 @@ func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	return bt, nil
 }
 
-func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
-	bt, err := j.vecBuild(ctx)
+func (j *HashJoin) open(ctx *Ctx) (viter, error) {
+	bt, err := j.build(ctx)
 	if err != nil {
 		return nil, err
 	}
-	in, err := vecChild(j.L, ctx)
+	in, err := j.L.open(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -692,21 +618,74 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 	}, nil
 }
 
+// ---- cross join ----
+
+// open materializes both inputs, refuses products over MaxProduct,
+// and emits the product left-major in batches, checking cancellation
+// on every output batch (no leaf is pulled while it emits).
+func (j *CrossJoin) open(ctx *Ctx) (viter, error) {
+	lcols, ln, err := collect(j.L, ctx)
+	if err != nil {
+		return nil, err
+	}
+	rcols, rn, err := collect(j.R, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if ln*rn > MaxProduct {
+		name := j.R.Rel().Bindings[0].Meta.Name
+		return nil, fmt.Errorf("plan: join of %s would produce over %d rows; add a join condition",
+			name, MaxProduct)
+	}
+	li, ri := 0, 0
+	return func() (*vbatch, error) {
+		if li >= ln || rn == 0 {
+			return nil, nil
+		}
+		if err := ctx.canceled(); err != nil {
+			return nil, err
+		}
+		n := min(maxBatch, (ln-li)*rn-ri)
+		lidx, ridx := make([]int32, n), make([]int32, n)
+		for k := range lidx {
+			lidx[k], ridx[k] = int32(li), int32(ri)
+			if ri++; ri == rn {
+				li, ri = li+1, 0
+			}
+		}
+		out := &vbatch{n: n, cols: make([]vcol, 0, j.rel.Width)}
+		for c := range lcols {
+			out.cols = append(out.cols, gatherCol(&lcols[c], lidx))
+		}
+		for c := range rcols {
+			out.cols = append(out.cols, gatherCol(&rcols[c], ridx))
+		}
+		return out, nil
+	}, nil
+}
+
 // ---- project ----
 
-func (p *Project) vopen(ctx *Ctx) (viter, error) {
-	in, err := vecChild(p.In, ctx)
+// open evaluates the select items (plus trailing sort keys) per batch:
+// compiled items as vector programs, the rest per selected row through
+// the evaluator fallback.
+func (p *Project) open(ctx *Ctx) (viter, error) {
+	in, err := p.In.open(ctx)
 	if err != nil {
 		return nil, err
 	}
 	c := compileRelWith(p.In.Rel(), ctx.Params)
-	exprs := make([]vexpr, 0, len(p.Items)+len(p.SortKeys))
-	for _, e := range append(append([]sql.Expr{}, p.Items...), p.SortKeys...) {
-		ve, ok := c.compile(e)
-		if !ok {
-			return nil, errUnknownTable("<projection not vectorizable>")
+	exprs := append(append([]sql.Expr{}, p.Items...), p.SortKeys...)
+	progs := make([]vexpr, len(exprs)) // nil: evaluator fallback
+	var re *rowEval
+	var kinds []store.Kind // fallback column kinds, fixed across batches
+	for x, e := range exprs {
+		if ve, ok := c.compile(e); ok {
+			progs[x] = ve
+		} else if re == nil {
+			re = newRowEval(ctx, p.In.Rel())
+			kinds = make([]store.Kind, len(exprs))
 		}
-		exprs = append(exprs, ve)
 	}
 	return func() (*vbatch, error) {
 		b, err := in()
@@ -714,12 +693,44 @@ func (p *Project) vopen(ctx *Ctx) (viter, error) {
 			return nil, err
 		}
 		out := &vbatch{n: b.rows(), cols: make([]vcol, len(exprs))}
-		for x, ve := range exprs {
+		for x, ve := range progs {
+			if ve == nil {
+				continue
+			}
 			rc := ve.eval(b)
 			if b.sel != nil {
 				rc = gatherCol(&rc, b.sel)
 			}
 			out.cols[x] = rc
+		}
+		if re == nil {
+			return out, nil
+		}
+		bufs := make([]*colbuf, len(exprs))
+		for x, ve := range progs {
+			if ve == nil {
+				bufs[x] = newColbuf(kinds[x])
+			}
+		}
+		for k, n := 0, b.rows(); k < n; k++ {
+			re.load(b, b.at(k))
+			for x, cb := range bufs {
+				if cb == nil {
+					continue
+				}
+				v, err := re.eval(exprs[x])
+				if err != nil {
+					return nil, err
+				}
+				if err := cb.pushBoxed(v); err != nil {
+					return nil, err
+				}
+			}
+		}
+		for x, cb := range bufs {
+			if cb != nil {
+				out.cols[x], kinds[x] = cb.col(), cb.kind
+			}
 		}
 		return out, nil
 	}, nil
@@ -728,54 +739,59 @@ func (p *Project) vopen(ctx *Ctx) (viter, error) {
 // ---- aggregate ----
 
 // vecAggSlot is one aggregate computation: the function, its compiled
-// argument over the input relation, and its result kind.
+// argument over the input relation, and its result kind. A DISTINCT
+// slot passes each value through its group's seen set first.
 type vecAggSlot struct {
-	fn      string
-	star    bool
-	arg     vexpr
-	argKind store.Kind
-	outKind store.Kind
+	fn       string
+	star     bool
+	distinct bool
+	arg      vexpr
+	argKind  store.Kind
+	outKind  store.Kind
 }
 
 // vecAggPlan is the decomposed Aggregate: GROUP BY key programs over
 // the input, aggregate slots, and the output item/HAVING/sort-key
 // programs over the group pseudo-relation whose columns are the keys
-// followed by the aggregate results.
+// followed by the aggregate results. A nil key program is a key the
+// evaluator computes per row; a nil item program (or a nil having
+// under a HAVING clause) is an expression the evaluator computes per
+// group with EvalGroup, over the group's retained input rows.
 type vecAggPlan struct {
-	keys   []vexpr
-	slots  []vecAggSlot
-	items  []vexpr
-	having vexpr
-	nOut   int // len(Items) + len(SortKeys)
+	keys     []vexpr
+	slots    []vecAggSlot
+	items    []vexpr
+	having   vexpr
+	rowKeys  bool // some key needs the evaluator
+	keepRows bool // some item or HAVING needs EvalGroup
 }
 
-// planVecAgg decomposes a into a vectorized aggregation plan, or
-// reports it non-vectorizable: every output item must reduce to GROUP
-// BY expressions, standard non-DISTINCT aggregates over vectorizable
-// arguments, and vectorizable combinations thereof. params is the
-// run's parameter vector; structural marks the vectorizability check
-// (parameters then compile against kind surrogates, see vcompiler).
-func planVecAgg(a *Aggregate, params []store.Value, structural bool) (*vecAggPlan, bool) {
-	rel := a.In.Rel()
-	in := compileRelWith(rel, params)
-	in.structural = structural
+// planVecAgg decomposes a into vector programs against the run's
+// parameter vector: output items reduce to GROUP BY expressions,
+// standard aggregates (DISTINCT included) over vectorizable arguments,
+// and vectorizable combinations thereof. Whatever does not reduce —
+// a subquery, a bare non-grouped column, an aggregate over a
+// non-vectorizable argument — is left to the evaluator.
+func planVecAgg(a *Aggregate, params []store.Value) *vecAggPlan {
+	in := compileRelWith(a.In.Rel(), params)
 	ap := &vecAggPlan{}
 	pseudoIdx := map[string]int{}
 	var pseudoKinds []store.Kind
 	for i, g := range a.GroupBy {
 		ve, ok := in.compile(g)
 		if !ok {
-			return nil, false
+			// Items naming this key fall back too: it has no pseudo column.
+			ap.keys = append(ap.keys, nil)
+			ap.rowKeys = true
+			pseudoKinds = append(pseudoKinds, store.KindNull)
+			continue
 		}
 		ap.keys = append(ap.keys, ve)
 		pseudoIdx[g.String()] = i
 		pseudoKinds = append(pseudoKinds, ve.kind())
 	}
 	makeSlot := func(fc *sql.FuncCall) (vecAggSlot, bool) {
-		if fc.Distinct {
-			return vecAggSlot{}, false
-		}
-		slot := vecAggSlot{fn: fc.Name, star: fc.Star}
+		slot := vecAggSlot{fn: fc.Name, star: fc.Star, distinct: fc.Distinct && !fc.Star}
 		if fc.Star {
 			if fc.Name != "COUNT" {
 				return vecAggSlot{}, false
@@ -811,7 +827,7 @@ func planVecAgg(a *Aggregate, params []store.Value, structural bool) (*vecAggPla
 		}
 		return slot, true
 	}
-	outer := &vcompiler{params: params, structural: structural}
+	outer := &vcompiler{params: params}
 	outer.resolve = func(e sql.Expr) (vexpr, bool) {
 		if idx, ok := pseudoIdx[e.String()]; ok {
 			return &vcolRef{off: idx, k: pseudoKinds[idx]}, true
@@ -828,8 +844,8 @@ func planVecAgg(a *Aggregate, params []store.Value, structural bool) (*vecAggPla
 			return &vcolRef{off: idx, k: slot.outKind}, true
 		}
 		if _, ok := e.(sql.ColumnRef); ok {
-			// A bare column that is not a GROUP BY key: the row path
-			// evaluates it on the group's representative row.
+			// A bare column that is not a GROUP BY key: the evaluator
+			// reads it from the group's representative row.
 			return nil, true
 		}
 		return nil, false
@@ -837,19 +853,54 @@ func planVecAgg(a *Aggregate, params []store.Value, structural bool) (*vecAggPla
 	for _, e := range append(append([]sql.Expr{}, a.Items...), a.SortKeys...) {
 		ve, ok := outer.compile(e)
 		if !ok {
-			return nil, false
+			ve = nil
+			ap.keepRows = true
 		}
 		ap.items = append(ap.items, ve)
 	}
 	if a.Having != nil {
-		ve, ok := outer.compile(a.Having)
-		if !ok {
-			return nil, false
+		if ve, ok := outer.compile(a.Having); ok {
+			ap.having = ve
+		} else {
+			ap.keepRows = true
 		}
-		ap.having = ve
 	}
-	ap.nOut = len(a.Items) + len(a.SortKeys)
-	return ap, true
+	return ap
+}
+
+// distinctSet is the seen set of a DISTINCT aggregate, per group but
+// held as one hash table over (group, value) pairs: the value's typed
+// hash (hashCol) mixed with the group id, verified with eqVals — so
+// DISTINCT aggregates dedup under the same key equality as GROUP BY
+// and the Distinct operator.
+type distinctSet struct {
+	idx  map[uint64][]int32
+	gids []int32
+	vals *colbuf
+}
+
+func newDistinctSet(kind store.Kind) *distinctSet {
+	return &distinctSet{idx: map[uint64][]int32{}, vals: newColbuf(kind)}
+}
+
+// add records value i of arg (whose hash is h) for group gid and
+// reports whether the group had not seen it. NULLs are never recorded:
+// aggregates skip them.
+func (d *distinctSet) add(gid int, arg *vcol, i int, h uint64) bool {
+	if arg.kind == store.KindNull || arg.null(i) {
+		return false
+	}
+	h = mix64(h ^ uint64(gid))
+	seen := d.vals.col()
+	for _, c := range d.idx[h] {
+		if int(d.gids[c]) == gid && eqVals(arg, i, &seen, int(c)) {
+			return false
+		}
+	}
+	d.idx[h] = append(d.idx[h], int32(len(d.gids)))
+	d.gids = append(d.gids, int32(gid))
+	d.vals.push(arg, i)
+	return true
 }
 
 // aggState holds the running accumulators of one slot, one entry per
@@ -899,7 +950,7 @@ func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int) {
 		min := slot.fn == "MIN"
 		switch slot.argKind {
 		case store.KindInt:
-			// Exact integer comparison, matching the row path's
+			// Exact integer comparison, matching the evaluator's
 			// int-int store.Compare (a float64 round-trip collapses
 			// distinct values beyond 2^53).
 			v := arg.ints[i]
@@ -1009,30 +1060,54 @@ func allNullCol(n int) vcol {
 	return vcol{kind: store.KindNull, nulls: nulls}
 }
 
-func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
-	ap, ok := planVecAgg(a, ctx.Params, false)
-	if !ok {
-		return nil, errUnknownTable("<aggregate not vectorizable>")
-	}
-	in, err := vecChild(a.In, ctx)
+// open consumes the whole input, partitioning it into groups in
+// first-seen order, then evaluates HAVING and the output items once
+// per group. The global group (no GROUP BY) exists even over empty
+// input.
+func (a *Aggregate) open(ctx *Ctx) (viter, error) {
+	ap := planVecAgg(a, ctx.Params)
+	in, err := a.In.open(ctx)
 	if err != nil {
 		return nil, err
+	}
+	rel := a.In.Rel()
+	var re *rowEval
+	if ap.rowKeys {
+		re = newRowEval(ctx, rel)
 	}
 	nk := len(ap.keys)
 	keyBufs := make([]*colbuf, nk)
 	for i, k := range ap.keys {
-		keyBufs[i] = newColbuf(k.kind())
+		kind := store.KindNull // evaluator keys take their first non-NULL kind
+		if k != nil {
+			kind = k.kind()
+		}
+		keyBufs[i] = newColbuf(kind)
 	}
 	groupIdx := map[uint64][]int32{}
 	states := make([]aggState, len(ap.slots))
+	sets := make([]*distinctSet, len(ap.slots))
+	for s := range ap.slots {
+		if ap.slots[s].distinct {
+			sets[s] = newDistinctSet(ap.slots[s].argKind)
+		}
+	}
+	var groupRows [][]store.Row // per group, only when ap.keepRows
 	ngroups := 0
-	if nk == 0 {
-		// The global group exists even over empty input.
-		ngroups = 1
+	newGroup := func() int {
 		for s := range states {
 			states[s].grow()
 		}
+		if ap.keepRows {
+			groupRows = append(groupRows, nil)
+		}
+		ngroups++
+		return ngroups - 1
 	}
+	if nk == 0 {
+		newGroup()
+	}
+	argHs := make([][]uint64, len(ap.slots)) // per-batch value hashes of DISTINCT slots
 
 	for {
 		b, err := in()
@@ -1044,12 +1119,24 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 		}
 		keyCols := make([]vcol, nk)
 		for k, ve := range ap.keys {
-			keyCols[k] = ve.eval(b)
+			if ve != nil {
+				keyCols[k] = ve.eval(b)
+			}
+		}
+		if re != nil {
+			if err := a.evalKeys(re, ap, b, keyBufs, keyCols); err != nil {
+				return nil, err
+			}
 		}
 		argCols := make([]vcol, len(ap.slots))
 		for s := range ap.slots {
-			if ap.slots[s].arg != nil {
-				argCols[s] = ap.slots[s].arg.eval(b)
+			if ap.slots[s].arg == nil {
+				continue
+			}
+			argCols[s] = ap.slots[s].arg.eval(b)
+			if sets[s] != nil {
+				argHs[s] = make([]uint64, b.n)
+				hashCol(&argCols[s], b.n, argHs[s])
 			}
 		}
 		var hs []uint64
@@ -1058,6 +1145,10 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 			for k := range keyCols {
 				hashCol(&keyCols[k], b.n, hs)
 			}
+		}
+		var slab []store.Value // retained input rows, one allocation per batch
+		if ap.keepRows {
+			slab = make([]store.Value, b.rows()*rel.Width)
 		}
 		b.forSel(func(i int) {
 			gid := 0
@@ -1079,19 +1170,26 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 					}
 				}
 				if gid < 0 {
-					gid = ngroups
-					ngroups++
+					gid = newGroup()
 					for k := range keyCols {
 						keyBufs[k].push(&keyCols[k], i)
 					}
 					groupIdx[h] = append(groupIdx[h], int32(gid))
-					for s := range states {
-						states[s].grow()
-					}
 				}
 			}
 			for s := range ap.slots {
+				if sets[s] != nil && !sets[s].add(gid, &argCols[s], i, argHs[s][i]) {
+					continue
+				}
 				ap.slots[s].update(&states[s], gid, &argCols[s], i)
+			}
+			if ap.keepRows {
+				row := slab[:rel.Width:rel.Width]
+				slab = slab[rel.Width:]
+				for c := range b.cols {
+					row[c] = b.cols[c].value(i)
+				}
+				groupRows[gid] = append(groupRows[gid], row)
 			}
 		})
 	}
@@ -1104,26 +1202,52 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 	for s := range ap.slots {
 		g.cols[nk+s] = ap.slots[s].col(&states[s], ngroups)
 	}
-	if ap.having != nil {
-		hc := ap.having.eval(g)
-		var sel []int32
+	grp := &Group{Rel: rel, Parent: ctx.Parent}
+	if a.Having != nil {
+		var hc vcol
+		if ap.having != nil {
+			hc = ap.having.eval(g)
+		}
+		sel := make([]int32, 0, g.n)
 		for i := 0; i < g.n; i++ {
-			if hc.kind == store.KindBool && !hc.null(i) && hc.bools[i] {
+			if ap.having == nil {
+				grp.Rows = groupRows[i]
+				v, err := ctx.Ev.EvalGroup(grp, a.Having)
+				if err != nil {
+					return nil, err
+				}
+				if IsTrue(v) {
+					sel = append(sel, int32(i))
+				}
+			} else if hc.kind == store.KindBool && !hc.null(i) && hc.bools[i] {
 				sel = append(sel, int32(i))
 			}
 		}
 		g.sel = sel
-		if len(sel) == 0 {
-			return func() (*vbatch, error) { return nil, nil }, nil
-		}
 	}
+	exprs := append(append([]sql.Expr{}, a.Items...), a.SortKeys...)
 	out := &vbatch{n: g.rows(), cols: make([]vcol, len(ap.items))}
 	for x, ve := range ap.items {
-		rc := ve.eval(g)
-		if g.sel != nil {
-			rc = gatherCol(&rc, g.sel)
+		if ve != nil {
+			rc := ve.eval(g)
+			if g.sel != nil {
+				rc = gatherCol(&rc, g.sel)
+			}
+			out.cols[x] = rc
+			continue
 		}
-		out.cols[x] = rc
+		cb := newColbuf(store.KindNull)
+		for k := 0; k < out.n; k++ {
+			grp.Rows = groupRows[g.at(k)]
+			v, err := ctx.Ev.EvalGroup(grp, exprs[x])
+			if err != nil {
+				return nil, err
+			}
+			if err := cb.pushBoxed(v); err != nil {
+				return nil, err
+			}
+		}
+		out.cols[x] = cb.col()
 	}
 	done := false
 	return func() (*vbatch, error) {
@@ -1135,10 +1259,50 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 	}, nil
 }
 
+// evalKeys fills the key columns the vector compiler declined,
+// evaluating each selected row through the evaluator. The columns stay
+// aligned with the batch's physical rows (unselected rows read NULL,
+// and are never grouped).
+func (a *Aggregate) evalKeys(re *rowEval, ap *vecAggPlan, b *vbatch, keyBufs []*colbuf, keyCols []vcol) error {
+	vals := make([][]store.Value, len(ap.keys))
+	for k, ve := range ap.keys {
+		if ve == nil {
+			vals[k] = make([]store.Value, b.n)
+		}
+	}
+	for j, n := 0, b.rows(); j < n; j++ {
+		i := b.at(j)
+		re.load(b, i)
+		for k := range vals {
+			if vals[k] == nil {
+				continue
+			}
+			v, err := re.eval(a.GroupBy[k])
+			if err != nil {
+				return err
+			}
+			vals[k][i] = v
+		}
+	}
+	for k := range vals {
+		if vals[k] == nil {
+			continue
+		}
+		cb := newColbuf(keyBufs[k].kind)
+		for _, v := range vals[k] {
+			if err := cb.pushBoxed(v); err != nil {
+				return err
+			}
+		}
+		keyCols[k] = cb.col()
+	}
+	return nil
+}
+
 // ---- distinct ----
 
-func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
-	in, err := vecOpen(d.In, ctx)
+func (d *Distinct) open(ctx *Ctx) (viter, error) {
+	in, err := d.In.open(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1251,40 +1415,18 @@ func vcolCompare(a *vcol, i int, b *vcol, j int) int {
 	return 0
 }
 
-func (s *Sort) vopen(ctx *Ctx) (viter, error) {
-	in, err := vecOpen(s.In, ctx)
+func (s *Sort) open(ctx *Ctx) (viter, error) {
+	in, err := s.In.open(ctx)
 	if err != nil {
 		return nil, err
 	}
-	var bufs []*colbuf
-	for {
-		b, err := in()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if bufs == nil {
-			bufs = make([]*colbuf, len(b.cols))
-			for c := range b.cols {
-				bufs[c] = newColbuf(b.cols[c].kind)
-			}
-		}
-		b.forSel(func(i int) {
-			for c := range bufs {
-				bufs[c].push(&b.cols[c], i)
-			}
-		})
+	cols, total, err := drainCols(in, nil)
+	if err != nil {
+		return nil, err
 	}
-	if bufs == nil || bufs[0].len() == 0 {
+	if total == 0 {
 		return func() (*vbatch, error) { return nil, nil }, nil
 	}
-	cols := make([]vcol, len(bufs))
-	for c := range bufs {
-		cols[c] = bufs[c].col()
-	}
-	total := bufs[0].len()
 	perm := make([]int32, total)
 	for i := range perm {
 		perm[i] = int32(i)
@@ -1321,11 +1463,11 @@ func (s *Sort) vopen(ctx *Ctx) (viter, error) {
 
 // ---- limit ----
 
-func (l *Limit) vopen(ctx *Ctx) (viter, error) {
+func (l *Limit) open(ctx *Ctx) (viter, error) {
 	if l.N <= 0 {
 		return func() (*vbatch, error) { return nil, nil }, nil
 	}
-	in, err := vecOpen(l.In, ctx)
+	in, err := l.In.open(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1355,104 +1497,5 @@ func (l *Limit) vopen(ctx *Ctx) (viter, error) {
 		}
 		left = 0
 		return b, nil
-	}, nil
-}
-
-// ---- exchange ----
-
-// vopen runs the exchange's subtree vectorized: morsels hand each
-// worker a contiguous batch range of the partitioned leaf (an id range
-// for index scans), workers drain their vectorized pipelines, and the
-// merged stream concatenates morsel outputs in order — identical rows
-// to the serial vectorized plan, which is itself identical to the
-// serial row plan.
-func (e *Exchange) vopen(ctx *Ctx) (viter, error) {
-	workers := e.Workers
-	if ctx.Par > 0 && ctx.Par < workers {
-		workers = ctx.Par
-	}
-	rows, ids, _, err := baseRows(e.part, ctx)
-	if err != nil {
-		return nil, err
-	}
-	total := len(rows)
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		return vecOpen(e.In, ctx)
-	}
-	spans := morselSpans(total, workers, partBoundsFor(ctx, e.part, ids))
-	nm := len(spans)
-
-	outs := make([][]*vbatch, nm)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var firstErr error
-	var errOnce sync.Once
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				m := int(next.Add(1)) - 1
-				if m >= nm || failed.Load() {
-					return
-				}
-				if err := ctx.canceled(); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-				lo, hi := spans[m][0], spans[m][1]
-				wctx := *ctx
-				wctx.scratch = nil
-				mr := &morselRun{node: e.part, rows: rows[lo:hi], lo: lo, hi: hi}
-				if ids != nil {
-					mr.ids = ids[lo:hi]
-				}
-				wctx.part = mr
-				op, err := vecOpen(e.In, &wctx)
-				if err == nil {
-					var batches []*vbatch
-					for {
-						b, berr := op()
-						if berr != nil {
-							err = berr
-							break
-						}
-						if b == nil {
-							break
-						}
-						batches = append(batches, b)
-					}
-					if err == nil {
-						outs[m] = batches
-						continue
-					}
-				}
-				errOnce.Do(func() { firstErr = err })
-				failed.Store(true)
-				return
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	mi, bi := 0, 0
-	return func() (*vbatch, error) {
-		for mi < len(outs) {
-			if bi < len(outs[mi]) {
-				b := outs[mi][bi]
-				bi++
-				return b, nil
-			}
-			mi++
-			bi = 0
-		}
-		return nil, nil
 	}, nil
 }

@@ -16,7 +16,7 @@ import (
 //
 // Predicates carry parameter slots rather than baked values where the
 // conjunct did: the skip set is re-resolved against Ctx.Params at
-// every vopen, so one prepared template serves every binding with the
+// every scan open, so one prepared template serves every binding with the
 // skips its constants deserve.
 
 // zoneOp is the comparison shape of a skip predicate.
@@ -365,7 +365,7 @@ func skipSegment(seg *store.Segment, preds []boundZone) bool {
 // segScanStats evaluates a scan's skip set against the snapshot at
 // compile time — the `segments=N skipped=K` numbers Explain reports.
 // Runtime executions re-derive skips from their own parameters (see
-// Scan.vopen); these are the numbers for the values the plan was
+// Scan.batches); these are the numbers for the values the plan was
 // compiled or bound with.
 func segScanStats(sn *store.Snapshot, b Binding, skips []ZonePred, params []store.Value) (n, skipped int) {
 	tab := sn.Table(b.Meta.Name)
