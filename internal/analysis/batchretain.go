@@ -7,9 +7,9 @@ import (
 
 // BatchRetain enforces the zero-copy batch contract from DESIGN.md
 // §2.4/§2.7: slices handed out by a batch (vcol/vbatch/colbuf payload
-// slices) or carved from the columnar layouts (store.ColVec,
-// store.SegCol) are views of storage the producer may reuse or that a
-// later version extends in place. Operators may retain whole *vbatch
+// slices) or carved from the segment layout (store.SegCol) are views
+// of storage the producer may reuse or that a later version extends in
+// place. Operators may retain whole *vbatch
 // values (Exchange workers do), but a payload slice stored into
 // long-lived operator state — a struct field or a variable captured
 // from an enclosing scope inside a closure — survives across Next
@@ -17,8 +17,8 @@ import (
 // moves. Retention requires an explicit copy (append to a fresh
 // slice, or a colbuf push); assignments whose right-hand side is a
 // call already are copies and are never flagged. Building one view
-// container out of another (a vcol from a SegCol window, a ColVec
-// extension) is the layout plumbing itself and is exempt.
+// container out of another (a vcol from a SegCol window, a tail
+// column extension) is the layout plumbing itself and is exempt.
 var BatchRetain = &Analyzer{
 	Name: "batchretain",
 	Doc:  "zero-copy batch/segment slices must not be retained in fields or captured state without a copy",
@@ -33,7 +33,6 @@ var batchViewTypes = map[string]bool{
 	"vcol":   true,
 	"vbatch": true,
 	"colbuf": true,
-	"ColVec": true,
 	"SegCol": true,
 }
 

@@ -11,12 +11,10 @@ type Row []Value
 
 type ColStats struct{ Min, Max int64 }
 
-type ColVec struct{ Ints []int64 }
-
 type SegSet struct{ N int }
 
 type tableData struct {
-	rows    []Row
+	segs    *SegSet
 	version uint64
 }
 
@@ -32,21 +30,17 @@ func (t *Table) Rows() []Row { return t.Snap().Rows() }
 
 func (t *Table) Stats(col string) (ColStats, bool) { return t.Snap().Stats(col) }
 
-func (t *Table) ColVecs() []*ColVec { return t.Snap().ColVecs() }
-
 func (t *Table) Segments() *SegSet { return t.Snap().Segments() }
 
 type TableSnap struct{ d *tableData }
 
-func (s *TableSnap) Len() int { return len(s.d.rows) }
+func (s *TableSnap) Len() int { return s.d.segs.N }
 
-func (s *TableSnap) Rows() []Row { return s.d.rows }
+func (s *TableSnap) Rows() []Row { return make([]Row, s.d.segs.N) }
 
 func (s *TableSnap) Stats(col string) (ColStats, bool) { return ColStats{}, false }
 
-func (s *TableSnap) ColVecs() []*ColVec { return nil }
-
-func (s *TableSnap) Segments() *SegSet { return &SegSet{} }
+func (s *TableSnap) Segments() *SegSet { return s.d.segs }
 
 type DB struct{ t *Table }
 

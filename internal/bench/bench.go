@@ -155,6 +155,25 @@ func runPlan(sn *store.Snapshot, p *plan.Plan) (*exec.Result, error) {
 	return exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 0, nil, nil)
 }
 
+// minPlanTime returns the fastest of reps runs of p against sn; setup,
+// when non-nil, runs untimed before each.
+func minPlanTime(sn *store.Snapshot, p *plan.Plan, reps int, setup func()) (time.Duration, error) {
+	best := time.Duration(-1)
+	for i := 0; i < reps; i++ {
+		if setup != nil {
+			setup()
+		}
+		start := time.Now()
+		if _, err := runPlan(sn, p); err != nil {
+			return 0, err
+		}
+		if d := time.Since(start); best < 0 || d < best {
+			best = d
+		}
+	}
+	return best, nil
+}
+
 // SameResult compares two results as bags of row tuples (order
 // insensitive, duplicates significant). Column names are ignored —
 // distinct-but-equivalent SQL must count as correct.

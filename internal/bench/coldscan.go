@@ -13,21 +13,51 @@ import (
 // ColdScan is one probe of the larger-than-memory experiment (F12):
 // the same query timed cold (every sealed payload evicted, reads fault
 // through the segment cache from disk), warm (payloads left resident
-// by the previous run), and against the fully resident uncompressed
-// column vectors — the execution the cache must match row for row.
+// by the previous run), and resident — a segment scan of the same data
+// before spill was enabled, the execution the cache must match row for
+// row.
 type ColdScan struct {
 	Name     string
 	Par      int
 	Rows     int           // table rows the scan is over
 	Cold     time.Duration // EvictAll before each rep; min over reps
 	Warm     time.Duration // cache state carried between reps
-	Resident time.Duration // uncompressed colvecs, no cache in the loop
+	Resident time.Duration // every payload resident, no cache in the loop
 	ColdMiss int64         // segments faulted in per cold run
 	ColdMB   float64       // bytes faulted from disk per cold run (MiB)
 	WarmHit  float64       // warm-run hit ratio: hits / (hits + misses)
 	Scanned  int64         // segments decoded by the scan (per run)
 	Skipped  int64         // segments pruned by zone maps (per run)
 	OutRows  int           // result cardinality
+}
+
+// ResidentScan is the baseline half of an F12 probe: the query's
+// minimum time and result as a segment scan with spill disabled —
+// every payload resident, no segment cache in the loop.
+type ResidentScan struct {
+	Time time.Duration
+	Res  *exec.Result
+}
+
+// MeasureResidentScan times query at worker degree par on a store
+// whose spill is not enabled yet, returning the baseline MeasureColdScan
+// checks the read-through path against.
+func MeasureResidentScan(db *store.DB, query string, par, reps int) (ResidentScan, error) {
+	stmt, err := sql.Parse(query)
+	if err != nil {
+		return ResidentScan{}, err
+	}
+	sn := db.Snapshot()
+	p, err := exec.BuildPlanParallelAt(sn, stmt, par)
+	if err != nil {
+		return ResidentScan{}, err
+	}
+	res, err := runPlan(sn, p) // warm-up and the baseline rows
+	if err != nil {
+		return ResidentScan{}, err
+	}
+	best, err := minPlanTime(sn, p, reps, nil)
+	return ResidentScan{Time: best, Res: res}, err
 }
 
 // ColdPenalty is Cold/Resident (>1 means faulting from disk cost that
@@ -48,12 +78,13 @@ func (q ColdScan) ColdRowsPerSec() float64 {
 	return float64(q.Rows) / q.Cold.Seconds()
 }
 
-// MeasureColdScan times one query on a spill-enabled DB in the three
-// modes and enforces the experiment's correctness bars in-run:
+// MeasureColdScan times one query on a spill-enabled DB cold and warm
+// and enforces the experiment's correctness bars in-run:
 //
 //   - the cold read-through result is row-for-row identical to the
-//     fully resident (no-segment) execution — faulting segments back
-//     from disk must never change an answer;
+//     resident segment scan measured before spill was enabled, and
+//     bag-equal to the reference oracle reading the spilled store —
+//     faulting segments back from disk must never change an answer;
 //   - at par 1 with every segment sealed, the number of disk faults in
 //     a cold run equals the number of segments the scan decoded: a
 //     zone-pruned segment is skipped on its resident zone maps alone
@@ -62,7 +93,7 @@ func (q ColdScan) ColdRowsPerSec() float64 {
 // Timing details mirror MeasureSegQuery: per-mode time is the minimum
 // over reps, counters come from a dedicated counted run so the timed
 // loops stay untouched.
-func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (ColdScan, error) {
+func MeasureColdScan(db *store.DB, table, name, query string, par, reps int, resident ResidentScan) (ColdScan, error) {
 	cache := db.SegCache()
 	if cache == nil {
 		return ColdScan{}, fmt.Errorf("bench: F12 %q needs a spill-enabled DB (EnableSpill first)", name)
@@ -77,22 +108,8 @@ func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (Co
 		return ColdScan{}, err
 	}
 
-	minOver := func(run func() (*exec.Result, error)) (time.Duration, error) {
-		best := time.Duration(-1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := run(); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); best < 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	// Warm-up: builds the segment layout and funnels sealed segments
-	// into the cache (adoption spills them to disk).
+	// Warm-up: funnels sealed segments into the cache (adoption spills
+	// them to disk).
 	if _, err := runPlan(sn, p); err != nil {
 		return ColdScan{}, err
 	}
@@ -104,21 +121,10 @@ func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (Co
 		}
 	}
 
-	// Fully resident baseline: uncompressed column vectors, no segment
-	// cache anywhere in the loop.
-	resRes, err := exec.RunNoSegAt(sn, p)
-	if err != nil {
-		return ColdScan{}, err
-	}
-	resident, err := minOver(func() (*exec.Result, error) { return exec.RunNoSegAt(sn, p) })
-	if err != nil {
-		return ColdScan{}, err
-	}
-
 	// Counted cold run: evict everything, then record which segments the
 	// scan decoded vs zone-pruned and how many faulted in from disk.
 	// This is the run the correctness bars read, and its result is the
-	// one compared row-for-row against the resident baseline — a
+	// one compared against the resident baseline and the oracle — a
 	// genuinely cold read-through execution.
 	cache.EvictAll()
 	before := cache.Stats()
@@ -132,14 +138,15 @@ func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (Co
 	coldMB := float64(after.FaultBytes-before.FaultBytes) / (1 << 20)
 	scanned, skipped := ctr.Scanned.Load(), ctr.Skipped.Load()
 
-	if len(coldRes.Rows) != len(resRes.Rows) {
-		return ColdScan{}, fmt.Errorf("bench: F12 %q: cold read-through returned %d rows, resident execution %d",
-			name, len(coldRes.Rows), len(resRes.Rows))
+	if err := sameRows(coldRes, resident.Res); err != nil {
+		return ColdScan{}, fmt.Errorf("bench: F12 %q: cold read-through vs resident execution: %w", name, err)
 	}
-	for r := range coldRes.Rows {
-		if !RowsEqual(coldRes.Rows[r], resRes.Rows[r]) {
-			return ColdScan{}, fmt.Errorf("bench: F12 %q: cold read-through row %d diverges from resident execution", name, r)
-		}
+	ref, err := exec.ReferenceQueryAt(sn, stmt)
+	if err != nil {
+		return ColdScan{}, err
+	}
+	if !SameResult(coldRes, ref) {
+		return ColdScan{}, fmt.Errorf("bench: F12 %q: cold read-through diverges from the reference oracle", name)
 	}
 	if par == 1 && allSealed && coldMiss != scanned {
 		return ColdScan{}, fmt.Errorf("bench: F12 %q: %d disk faults for %d decoded segments — zone-pruned segments must skip on resident zone maps without I/O",
@@ -147,22 +154,15 @@ func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (Co
 	}
 
 	// Cold timing: evict before every rep so each one faults from disk.
-	cold := time.Duration(-1)
-	for i := 0; i < reps; i++ {
-		cache.EvictAll()
-		start := time.Now()
-		if _, err := runPlan(sn, p); err != nil {
-			return ColdScan{}, err
-		}
-		if d := time.Since(start); cold < 0 || d < cold {
-			cold = d
-		}
+	cold, err := minPlanTime(sn, p, reps, cache.EvictAll)
+	if err != nil {
+		return ColdScan{}, err
 	}
 
 	// Warm timing: cache state carries over from the last cold rep, so
 	// whatever fits in budget is served from memory.
 	w0 := cache.Stats()
-	warm, err := minOver(func() (*exec.Result, error) { return runPlan(sn, p) })
+	warm, err := minPlanTime(sn, p, reps, nil)
 	if err != nil {
 		return ColdScan{}, err
 	}
@@ -175,7 +175,7 @@ func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (Co
 	return ColdScan{
 		Name: name, Par: par,
 		Rows: sn.Table(table).Len(),
-		Cold: cold, Warm: warm, Resident: resident,
+		Cold: cold, Warm: warm, Resident: resident.Time,
 		ColdMiss: coldMiss, ColdMB: coldMB, WarmHit: warmHit,
 		Scanned: scanned, Skipped: skipped,
 		OutRows: len(coldRes.Rows),

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
@@ -197,20 +196,6 @@ func MeasurePartitionJoin(dbPart, dbFlat *store.DB, table, name, query string,
 		return PartJoin{}, err
 	}
 
-	minOver := func(sn *store.Snapshot, p *plan.Plan) (time.Duration, error) {
-		best := time.Duration(-1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := runPlan(sn, p); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); best < 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
 	wiseRes, err := runPlan(snP, pp) // warm-up and baseline rows
 	if err != nil {
 		return PartJoin{}, err
@@ -219,7 +204,7 @@ func MeasurePartitionJoin(dbPart, dbFlat *store.DB, table, name, query string,
 	if _, err := exec.RunBoundCountedAtCtx(context.Background(), snP, pp, nil, 0, nil, &c); err != nil {
 		return PartJoin{}, err
 	}
-	wise, err := minOver(snP, pp)
+	wise, err := minPlanTime(snP, pp, reps, nil)
 	if err != nil {
 		return PartJoin{}, err
 	}
@@ -227,7 +212,7 @@ func MeasurePartitionJoin(dbPart, dbFlat *store.DB, table, name, query string,
 	if err != nil {
 		return PartJoin{}, err
 	}
-	shared, err := minOver(snF, pf)
+	shared, err := minPlanTime(snF, pf, reps, nil)
 	if err != nil {
 		return PartJoin{}, err
 	}

@@ -162,22 +162,26 @@ func NewEngine(db *store.DB, opts Options) *Engine {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if opts.SpillDir != "" {
-		if err := db.EnableSpill(opts.SpillDir, opts.SegCacheBytes); err != nil {
-			// Engine construction has no error path; a spill directory
-			// that cannot be created is a deployment misconfiguration,
-			// not a runtime condition to degrade around.
-			panic(fmt.Sprintf("core: enabling segment spill: %v", err))
-		}
-	}
 	if opts.Partitions > 1 {
 		if err := partitionTables(db, opts.Partitions); err != nil {
-			// Same stance as spill: the schema names the partition
-			// columns, so a failure here is a misconfiguration.
+			// Engine construction has no error path; the schema names
+			// the partition columns, so a failure here is a deployment
+			// misconfiguration, not a runtime condition to degrade
+			// around.
 			panic(fmt.Sprintf("core: partitioning tables: %v", err))
 		}
 	}
+	// The value index reads text columns out of the segments; building
+	// it before spill is enabled reads them while every payload is
+	// still resident, instead of faulting evicted ones back from disk.
 	idx := semindex.Build(db, opts.Index)
+	if opts.SpillDir != "" {
+		if err := db.EnableSpill(opts.SpillDir, opts.SegCacheBytes); err != nil {
+			// Same stance: a spill directory that cannot be created is
+			// a misconfiguration.
+			panic(fmt.Sprintf("core: enabling segment spill: %v", err))
+		}
+	}
 	e := &Engine{
 		DB:   db,
 		Idx:  idx,

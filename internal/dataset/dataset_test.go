@@ -79,7 +79,7 @@ func TestForeignKeysResolve(t *testing.T) {
 			child := db.Table(fk.Table)
 			parent := db.Table(fk.RefTable)
 			ci := child.ColIndex(fk.Column)
-			if !parent.HasIndex(fk.RefColumn) {
+			if !parent.Snap().HasIndex(fk.RefColumn) {
 				t.Fatalf("%s: parent index on %s.%s missing", name, fk.RefTable, fk.RefColumn)
 			}
 			for _, row := range child.Rows() {
@@ -87,7 +87,7 @@ func TestForeignKeysResolve(t *testing.T) {
 				if v.IsNull() {
 					continue
 				}
-				ids, _ := parent.LookupIndex(fk.RefColumn, v)
+				ids, _ := parent.Snap().LookupIndex(fk.RefColumn, v)
 				if len(ids) == 0 {
 					t.Fatalf("%s: dangling FK %v in %s.%s", name, v, fk.Table, fk.Column)
 				}
@@ -249,5 +249,51 @@ func TestEventsDeterministic(t *testing.T) {
 	}
 	if db, err := ByName("events", 1); err != nil || db.Table("events").Len() != 100_000 {
 		t.Errorf("ByName events: db=%v err=%v", db, err)
+	}
+}
+
+// TestStatsMatchRows: column statistics, computed from the segments,
+// must equal a row-at-a-time scan of the materialized rows for every
+// column of every dataset (the planner's inputs are unchanged by
+// where the cells are read from).
+func TestStatsMatchRows(t *testing.T) {
+	dbs := map[string]*store.DB{"events": Events(store.DefaultSegmentRows + 500), "telemetry": Telemetry(5000)}
+	for _, name := range Names() {
+		db, err := ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs[name] = db
+	}
+	for name, db := range dbs {
+		for _, mt := range db.Schema.Tables {
+			sn := db.Table(mt.Name).Snap()
+			rows := sn.Rows()
+			for ci, c := range mt.Columns {
+				want := store.ColStats{Rows: len(rows)}
+				distinct := map[string]bool{}
+				for _, row := range rows {
+					v := row[ci]
+					if v.IsNull() {
+						want.Nulls++
+						continue
+					}
+					distinct[v.Key()] = true
+					if want.Min.IsNull() || store.Compare(v, want.Min) < 0 {
+						want.Min = v
+					}
+					if want.Max.IsNull() || store.Compare(v, want.Max) > 0 {
+						want.Max = v
+					}
+				}
+				want.Distinct = len(distinct)
+				got, _ := sn.Stats(c.Name)
+				if got.Rows != want.Rows || got.Nulls != want.Nulls || got.Distinct != want.Distinct ||
+					got.Min.Kind() != want.Min.Kind() || got.Max.Kind() != want.Max.Kind() ||
+					store.Compare(got.Min, want.Min) != 0 || store.Compare(got.Max, want.Max) != 0 {
+					t.Errorf("%s.%s.%s: stats %+v, rows give %+v", name, mt.Name, c.Name, got, want)
+				}
+			}
+		}
 	}
 }

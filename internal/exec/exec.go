@@ -63,15 +63,6 @@ func BuildPlanParallelAt(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*pl
 	return plan.Parallelize(sn, p, par), nil
 }
 
-// RunNoSegAt executes a compiled plan with scans reading the
-// uncompressed column vectors instead of the segment layout (zone-map
-// skipping disabled with them) — the ablation baseline of the
-// compressed-segment experiment (F11). Results are row-for-row
-// identical to a segment run.
-func RunNoSegAt(sn *store.Snapshot, p *plan.Plan) (*Result, error) {
-	return RunBoundNoSegAt(sn, p, nil)
-}
-
 // executor evaluates expressions for plan operators and runs nested
 // subqueries, memoizing uncorrelated subquery results (keyed by
 // statement: a correlated subquery never reaches the cache) and
@@ -90,7 +81,6 @@ type executor struct {
 	planCache map[*sql.SelectStmt]*plan.Plan
 	corrCache map[*sql.SelectStmt]bool // memoized correlation verdicts
 	reference bool                     // route subqueries through the reference path too
-	noSeg     bool                     // scan column vectors, not segments (ablation)
 	segC      *store.SegCounters       // optional segment scan/skip counters
 	partC     *store.PartCounters      // optional partition scan/prune counters
 
@@ -127,7 +117,7 @@ func newExecutor(sn *store.Snapshot) *executor {
 
 func (ex *executor) run(p *plan.Plan, parent *plan.Frame) (*Result, error) {
 	rows, err := plan.Run(p, &plan.Ctx{Snap: ex.sn, Ev: ex, Parent: parent,
-		NoSeg: ex.noSeg, SegC: ex.segC, PartC: ex.partC,
+		SegC: ex.segC, PartC: ex.partC,
 		Params: ex.params, Par: ex.par, Done: ex.done, Cause: ex.cause})
 	if err != nil {
 		return nil, err

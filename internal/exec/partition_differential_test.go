@@ -196,7 +196,7 @@ func TestPartitionWiseJoinDifferential(t *testing.T) {
 
 // TestPartitionPruneZeroSegIO pins the pruning contract on a range-
 // partitioned, spill-enabled log: a predicate selecting one partition's
-// ts range must prune every other partition from resident statistics
+// ts range must prune every other partition from resident zone maps
 // alone — after evicting all segments to disk, the counted run may
 // fault back at most the kept partition's segment bytes.
 func TestPartitionPruneZeroSegIO(t *testing.T) {
@@ -210,7 +210,9 @@ func TestPartitionPruneZeroSegIO(t *testing.T) {
 	if err := db.PartitionTable("events", store.RangePartition("ts", bounds)); err != nil {
 		t.Fatal(err)
 	}
-	db.Table("events").SetSegmentRows(512)
+	if err := db.Table("events").SetSegmentRows(512); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.EnableSpill(t.TempDir(), 64<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +226,16 @@ func TestPartitionPruneZeroSegIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.RunNoSegAt(sn, p) // baseline off the column vectors
+	want, err := runAt(sn, p) // baseline with every payload faulted in
 	if err != nil {
 		t.Fatal(err)
+	}
+	ref, err := exec.ReferenceQueryAt(sn, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bench.SameResult(want, ref) {
+		t.Fatal("resident run differs from the reference oracle")
 	}
 
 	db.SegCache().EvictAll()
@@ -239,7 +248,7 @@ func TestPartitionPruneZeroSegIO(t *testing.T) {
 	after := db.SegCache().Stats()
 
 	if err := rowsIdentical(got, want); err != nil {
-		t.Errorf("pruned run vs column-vector baseline: %v", err)
+		t.Errorf("pruned cold run vs resident run: %v", err)
 	}
 	if pruned := partc.Pruned.Load(); pruned != parts-1 {
 		t.Errorf("pruned %d partitions, want %d (scanned %d)", pruned, parts-1, partc.Scanned.Load())

@@ -65,12 +65,3 @@ func (pq *PreparedQuery) Bind(sn *store.Snapshot, params []store.Value, par int)
 func (pq *PreparedQuery) BindPinned(sn *store.Snapshot, params []store.Value, par int) (*plan.Plan, bool, error) {
 	return pq.Tmpl.BindPinned(sn, params, par)
 }
-
-// RunBoundNoSegAt runs a bound plan over the uncompressed column
-// vectors (see RunNoSegAt).
-func RunBoundNoSegAt(sn *store.Snapshot, p *plan.Plan, params []store.Value) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.params = params
-	ex.noSeg = true
-	return ex.run(p, nil)
-}

@@ -269,3 +269,142 @@ func TestSnapshotQueryRepeatable(t *testing.T) {
 		t.Fatalf("live query sees %d groups, want 12", len(live.Rows))
 	}
 }
+
+// TestTailAppendSnapshotRepeatable pins the in-place tail append:
+// readers pinned before a run of appends keep seeing the same rows,
+// length, segment coverage and query results while a writer extends
+// the tail under them. The appends cross the seal boundary (the tail
+// seals at publish) and put NULLs into the word of the tail's null
+// bitmap the pinned readers also read — which must be copied, not
+// written in place, or the race detector fires.
+func TestTailAppendSnapshotRepeatable(t *testing.T) {
+	s := schema.MustNew("tail", []*schema.Table{{Name: "t", Columns: []schema.Column{
+		{Name: "id", Type: schema.Int},
+		{Name: "v", Type: schema.Int},
+		{Name: "s", Type: schema.Text},
+	}}}, nil)
+	db := store.NewDB(s)
+	tab := db.Table("t")
+	const seal = 100
+	if err := tab.SetSegmentRows(seal); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	mkRow := func() store.Row {
+		row := store.Row{store.Int(int64(next)), store.Int(int64(next % 13)), store.Text(fmt.Sprintf("s%d", next%4))}
+		if next%5 == 3 {
+			row[1] = store.Null()
+		}
+		next++
+		return row
+	}
+	batch := func(k int) []store.Row {
+		rows := make([]store.Row, k)
+		for i := range rows {
+			rows[i] = mkRow()
+		}
+		return rows
+	}
+	if err := tab.BulkInsert(batch(seal + 45)); err != nil { // one sealed segment, a 45-row tail
+		t.Fatal(err)
+	}
+
+	q := sql.MustParse("SELECT s, COUNT(*), COUNT(v), SUM(v) FROM t WHERE id >= 0 GROUP BY s ORDER BY s")
+	type view struct {
+		sn   *store.Snapshot
+		rows string
+		n    int
+		segN int
+		res  string
+	}
+	capture := func(sn *store.Snapshot) view {
+		ts := sn.Table("t")
+		res, err := QueryAt(sn, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return view{sn: sn, rows: store.FormatRows(ts.Rows()), n: ts.Len(), segN: ts.Segments().N, res: FormatResult(res)}
+	}
+	pins := []view{capture(db.Snapshot())}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	check := func(v view) error {
+		ts := v.sn.Table("t")
+		if ts.Len() != v.n || ts.Segments().N != v.segN {
+			return fmt.Errorf("pinned length moved: %d/%d, want %d/%d", ts.Len(), ts.Segments().N, v.n, v.segN)
+		}
+		if got := store.FormatRows(ts.Rows()); got != v.rows {
+			return fmt.Errorf("pinned rows moved at %d rows", v.n)
+		}
+		for _, par := range []int{1, 4} {
+			p, err := BuildPlanParallelAt(v.sn, q, par)
+			if err != nil {
+				return err
+			}
+			res, err := RunBoundCountedAtCtx(context.Background(), v.sn, p, nil, 0, nil, nil)
+			if err != nil {
+				return err
+			}
+			if got := FormatResult(res); got != v.res {
+				return fmt.Errorf("pinned query result moved at par %d:\n%s\nwant\n%s", par, got, v.res)
+			}
+		}
+		ref, err := ReferenceQueryAt(v.sn, q)
+		if err != nil {
+			return err
+		}
+		if got := FormatResult(ref); got != v.res {
+			return fmt.Errorf("pinned reference result moved:\n%s\nwant\n%s", got, v.res)
+		}
+		return nil
+	}
+	first := pins[0]
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(first); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+
+	// Single-row inserts land NULLs in the shared bitmap word, then a
+	// bulk batch crosses the seal boundary and starts a fresh tail.
+	for i := 0; i < 12; i++ {
+		if err := tab.Insert(mkRow()...); err != nil {
+			t.Fatal(err)
+		}
+		pins = append(pins, capture(db.Snapshot()))
+	}
+	for _, k := range []int{70, 3, 130} {
+		if err := tab.BulkInsert(batch(k)); err != nil {
+			t.Fatal(err)
+		}
+		pins = append(pins, capture(db.Snapshot()))
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if segs := db.Table("t").Snap().Segments().Segs; len(segs) < 3 || !segs[1].Sealed {
+		t.Fatalf("appends did not cross the seal boundary: %d segments", len(segs))
+	}
+	for _, v := range pins {
+		if err := check(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

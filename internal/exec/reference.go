@@ -82,10 +82,14 @@ func (ex *executor) buildRelation(stmt *sql.SelectStmt) (*matRel, error) {
 		b := bindings[bi]
 		tab := ex.sn.Table(b.Meta.Name)
 		if mr == nil {
+			rows, err := indexPrune(tab, b.Name, stmt.Where)
+			if err != nil {
+				return nil, err
+			}
 			b.Off = 0
 			mr = &matRel{
 				rel:  &plan.Rel{Bindings: []plan.Binding{b}, Width: len(b.Meta.Columns)},
-				rows: indexPrune(tab, b.Name, stmt.Where),
+				rows: rows,
 			}
 			continue
 		}
@@ -100,8 +104,11 @@ func (ex *executor) buildRelation(stmt *sql.SelectStmt) (*matRel, error) {
 
 // indexPrune narrows the base table's rows using a hash index when the
 // WHERE clause has a top-level "col = literal" conjunct on an indexed
-// column; the full predicate is re-applied afterwards.
-func indexPrune(tab *store.TableSnap, name string, where sql.Expr) []store.Row {
+// column; the full predicate is re-applied afterwards. Rows are read
+// back out of the segments, so a payload that cannot be faulted in is
+// an error of the query.
+func indexPrune(tab *store.TableSnap, name string, where sql.Expr) ([]store.Row, error) {
+	var err error
 	var walk func(sql.Expr) []store.Row
 	walk = func(e sql.Expr) []store.Row {
 		be, ok := e.(*sql.BinaryExpr)
@@ -128,7 +135,11 @@ func indexPrune(tab *store.TableSnap, name string, where sql.Expr) []store.Row {
 			ids, _ := tab.LookupIndex(col.Column, lit.Val)
 			pruned := make([]store.Row, 0, len(ids))
 			for _, id := range ids {
-				pruned = append(pruned, tab.Row(id))
+				var row []store.Row
+				if row, err = tab.ReadRows(id, id+1); err != nil {
+					break
+				}
+				pruned = append(pruned, row[0])
 			}
 			return pruned
 		}
@@ -136,10 +147,10 @@ func indexPrune(tab *store.TableSnap, name string, where sql.Expr) []store.Row {
 	}
 	if where != nil {
 		if pruned := walk(where); pruned != nil {
-			return pruned
+			return pruned, err
 		}
 	}
-	return tab.Rows()
+	return tab.ReadRows(0, tab.Len())
 }
 
 // refJoinOrder returns binding indexes in an order where each table
@@ -217,7 +228,10 @@ func joinOne(mr *matRel, b plan.Binding, tab *store.TableSnap, conds []plan.Equi
 		}
 	}
 
-	newRows := tab.Rows()
+	newRows, err := tab.ReadRows(0, tab.Len())
+	if err != nil {
+		return nil, err
+	}
 	if leftOff >= 0 {
 		// Hash join: build on the new table, probe from mr.
 		index := make(map[string][]store.Row, len(newRows))

@@ -46,9 +46,9 @@ func BenchmarkSegCacheHit(b *testing.B) {
 }
 
 // segBenchPlan compiles one query over a 100K-row event log and hands
-// back the pinned snapshot and plan, with both columnar layouts built
-// outside the timed region.
-func segBenchPlan(b *testing.B, query string) (*exec.Result, func(noSeg bool) (*exec.Result, error)) {
+// back a runner over the pinned snapshot and plan, warmed once outside
+// the timed region.
+func segBenchPlan(b *testing.B, query string) func() (*exec.Result, error) {
 	b.Helper()
 	db := dataset.Events(100_000)
 	sn := db.Snapshot()
@@ -57,18 +57,10 @@ func segBenchPlan(b *testing.B, query string) (*exec.Result, func(noSeg bool) (*
 	if err != nil {
 		b.Fatal(err)
 	}
-	db.Table("events").Segments() // build segment layout outside the loop
-	db.Table("events").ColVecs()  // and the uncompressed one
-	warm, err := runAt(sn, p)
-	if err != nil {
+	if _, err := runAt(sn, p); err != nil {
 		b.Fatal(err)
 	}
-	return warm, func(noSeg bool) (*exec.Result, error) {
-		if noSeg {
-			return exec.RunNoSegAt(sn, p)
-		}
-		return runAt(sn, p)
-	}
+	return func() (*exec.Result, error) { return runAt(sn, p) }
 }
 
 // BenchmarkSegScanDictFilter pins the allocation budget of the
@@ -77,11 +69,11 @@ func segBenchPlan(b *testing.B, query string) (*exec.Result, func(noSeg bool) (*
 // dictionary codes and int batches decode per batch. Guarded by
 // cmd/allocguard in CI.
 func BenchmarkSegScanDictFilter(b *testing.B) {
-	_, run := segBenchPlan(b, "SELECT COUNT(*) FROM events WHERE level = 'error'")
+	run := segBenchPlan(b, "SELECT COUNT(*) FROM events WHERE level = 'error'")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(false); err != nil {
+		if _, err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,25 +83,12 @@ func BenchmarkSegScanDictFilter(b *testing.B) {
 // scan — most segments are skipped from zone maps alone, so allocs/op
 // must stay far below the full-scan budget.
 func BenchmarkSegScanZoneSkip(b *testing.B) {
-	_, run := segBenchPlan(b,
+	run := segBenchPlan(b,
 		"SELECT COUNT(*) FROM events WHERE ts BETWEEN 1700006000 AND 1700006250")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSegScanNoSeg is the uncompressed column-vector baseline of
-// BenchmarkSegScanDictFilter.
-func BenchmarkSegScanNoSeg(b *testing.B) {
-	_, run := segBenchPlan(b, "SELECT COUNT(*) FROM events WHERE level = 'error'")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(true); err != nil {
+		if _, err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}

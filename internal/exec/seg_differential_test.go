@@ -3,6 +3,8 @@ package exec_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
@@ -17,16 +19,17 @@ import (
 // segment size, so corpus-scale data exercises multi-segment layouts.
 func setSegmentRows(db *store.DB, n int) {
 	for _, mt := range db.Schema.Tables {
-		db.Table(mt.Name).SetSegmentRows(n)
+		if err := db.Table(mt.Name).SetSegmentRows(n); err != nil {
+			panic(err)
+		}
 	}
 }
 
 // TestSegDifferentialCorpus runs the full benchmark corpus over tiny
 // segments (sizes chosen to straddle encoding and batch boundaries,
-// including non-multiples of 64 and 1024) and requires the segment
-// scan path and the uncompressed column-vector path to produce
-// row-for-row identical output, serial and par-4 runs to agree row for
-// row, and every run to match the reference oracle as a bag.
+// including non-multiples of 64 and 1024) and requires serial and par-4
+// runs to agree row for row, and every run to match the reference
+// oracle as a bag.
 func TestSegDifferentialCorpus(t *testing.T) {
 	for _, segRows := range []int{7, 100, 1025} {
 		for _, domain := range dataset.Names() {
@@ -54,14 +57,6 @@ func TestSegDifferentialCorpus(t *testing.T) {
 					seg, err := runAt(sn, p)
 					if err != nil {
 						t.Fatalf("%s: segment execution failed (segRows=%d par=%d): %v", cs.ID, segRows, par, err)
-					}
-					noseg, err := exec.RunNoSegAt(sn, p)
-					if err != nil {
-						t.Fatalf("%s: noseg execution failed: %v", cs.ID, err)
-					}
-					if err := rowsIdentical(seg, noseg); err != nil {
-						t.Errorf("%s (segRows=%d par=%d): segment vs column-vector scan: %v\nsql: %s",
-							cs.ID, segRows, par, err, cs.Gold)
 					}
 					if !bench.SameResult(seg, reference) {
 						t.Errorf("%s (segRows=%d par=%d): segment run differs from the reference oracle\nsql: %s",
@@ -156,12 +151,12 @@ func TestSegZoneSkipCounts(t *testing.T) {
 			if err := rowsIdentical(counted, p); err != nil {
 				t.Errorf("%s (segRows=%d): counted vs plain: %v", tc.q, segRows, err)
 			}
-			noseg, err := exec.RunNoSegAt(sn, plan)
+			ref, err := exec.ReferenceQueryAt(sn, stmt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rowsIdentical(counted, noseg); err != nil {
-				t.Errorf("%s (segRows=%d): skipping changed results: %v", tc.q, segRows, err)
+			if !bench.SameResult(counted, ref) {
+				t.Errorf("%s (segRows=%d): skipping changed results: differs from the reference oracle", tc.q, segRows)
 			}
 			skipped := c.Skipped.Load()
 			if tc.wantSkip && skipped == 0 {
@@ -177,7 +172,8 @@ func TestSegZoneSkipCounts(t *testing.T) {
 
 // TestSegSkipPrepared pins bind-time skip derivation: one prepared
 // template, rebound with different constants, must skip according to
-// each binding's values — and always match the unskipped baseline.
+// each binding's values — and always match the reference oracle over
+// the same constants as literals.
 func TestSegSkipPrepared(t *testing.T) {
 	db := segSkipDB(t, 5000)
 	setSegmentRows(db, 500)
@@ -209,7 +205,8 @@ func TestSegSkipPrepared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := exec.RunBoundNoSegAt(sn, p, ps)
+		want, err := exec.ReferenceQueryAt(sn, sql.MustParse(fmt.Sprintf(
+			"SELECT COUNT(*) FROM events WHERE ts BETWEEN %d AND %d", b.lo, b.hi)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,8 +224,8 @@ func TestSegSkipPrepared(t *testing.T) {
 	// A NULL bound makes the predicate non-TRUE everywhere (3VL), so
 	// every segment skips without being decoded. Bind rejects NULL
 	// parameters, so this arrives as a literal.
-	p, err := exec.BuildPlanParallelAt(sn, sql.MustParse(
-		"SELECT COUNT(*) FROM events WHERE ts > NULL"), 1)
+	nullStmt := sql.MustParse("SELECT COUNT(*) FROM events WHERE ts > NULL")
+	p, err := exec.BuildPlanParallelAt(sn, nullStmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +234,7 @@ func TestSegSkipPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.RunNoSegAt(sn, p)
+	want, err := exec.ReferenceQueryAt(sn, nullStmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +249,9 @@ func TestSegSkipPrepared(t *testing.T) {
 // TestSegNullEdgeBatches runs aggregate and filter queries over tables
 // whose null layout stresses bitmap word and batch boundaries:
 // all-null columns, no-null columns, nulls exactly at multiples of 64
-// and 1024, and single-row tables. The segment path must agree with
-// the uncompressed column vectors row for row and with the reference
-// oracle as a bag on every one.
+// and 1024, and single-row tables. Every seal size must agree row for
+// row with the default single-segment layout, and with the reference
+// oracle as a bag.
 func TestSegNullEdgeBatches(t *testing.T) {
 	build := func(n int, nullAt func(i int) bool) *store.DB {
 		s := schema.MustNew("nulledge", []*schema.Table{{
@@ -297,6 +294,15 @@ func TestSegNullEdgeBatches(t *testing.T) {
 		{"odd-tail", 1025 + 1, func(i int) bool { return i == 1025 }},
 	}
 	for _, sh := range shapes {
+		flat := map[string]*exec.Result{}
+		fdb := build(sh.n, sh.nullAt)
+		for _, q := range queries {
+			res, err := exec.Query(fdb, sql.MustParse(q))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", sh.name, q, err)
+			}
+			flat[q] = res
+		}
 		for _, segRows := range []int{1, 63, 64, 65, 1000, 1024} {
 			db := build(sh.n, sh.nullAt)
 			setSegmentRows(db, segRows)
@@ -311,11 +317,7 @@ func TestSegNullEdgeBatches(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sh.name, q, err)
 				}
-				noseg, err := exec.RunNoSegAt(sn, p)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", sh.name, q, err)
-				}
-				if err := rowsIdentical(seg, noseg); err != nil {
+				if err := rowsIdentical(seg, flat[q]); err != nil {
 					t.Errorf("%s (segRows=%d): %s: %v", sh.name, segRows, q, err)
 				}
 				reference, err := exec.ReferenceQueryAt(sn, stmt)
@@ -327,5 +329,46 @@ func TestSegNullEdgeBatches(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCorruptSpillIsQueryError: once rows live only in segments, a
+// spilled segment file that fails its checksum must surface as an
+// error of the query reading it — from the reference oracle's row
+// reader and from the planned executor alike — never as a panic.
+func TestCorruptSpillIsQueryError(t *testing.T) {
+	db := segSkipDB(t, 2000)
+	setSegmentRows(db, 256)
+	dir := t.TempDir()
+	if err := db.EnableSpill(dir, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	sn := db.Snapshot()
+	_ = sn.Table("events").Segments() // adopt: every sealed segment spills
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no spilled segment files (%v)", err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(f, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.SegCache().EvictAll()
+
+	stmt := sql.MustParse("SELECT level, COUNT(*) FROM events WHERE ts > 10 GROUP BY level")
+	if _, err := exec.ReferenceQueryAt(sn, stmt); err == nil {
+		t.Error("reference oracle read a corrupt segment without an error")
+	}
+	if _, err := exec.QueryAt(sn, stmt); err == nil {
+		t.Error("planned execution read a corrupt segment without an error")
+	}
+	if _, err := sn.Table("events").ReadRows(0, sn.Table("events").Len()); err == nil {
+		t.Error("ReadRows read a corrupt segment without an error")
 	}
 }

@@ -19,12 +19,12 @@ import (
 // of a 100K-row event log (zone maps cannot skip, dictionaries do not
 // apply), reduced by COUNT so output stays O(1).
 func BenchmarkVecFilterNumeric(b *testing.B) {
-	_, run := segBenchPlan(b,
+	run := segBenchPlan(b,
 		"SELECT COUNT(*) FROM events WHERE latency_ms > 200 AND device_id < 1024")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(false); err != nil {
+		if _, err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}

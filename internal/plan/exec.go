@@ -16,7 +16,7 @@ const MaxProduct = 5_000_000
 // When Par > 1 the Evaluator must be safe for concurrent use.
 //
 // Snap is a store.Snapshot, so the whole plan — scans, index probes,
-// column vectors, statistics — reads one frozen version of the data:
+// segments, statistics — reads one frozen version of the data:
 // concurrent writers publish new versions without ever being observed
 // mid-query.
 type Ctx struct {
@@ -31,12 +31,6 @@ type Ctx struct {
 	// compiled from fully-literal statements.
 	Params []store.Value
 
-	// NoSeg forces scans to read the uncompressed column
-	// vectors instead of the segment layout (and disables zone-map
-	// skipping with them) — the ablation baseline for the compressed
-	// segment experiment (F11).
-	NoSeg bool
-
 	// SegC, when set, accumulates runtime segment counters: segments
 	// decoded vs segments skipped by zone maps across all scans of the
 	// run (including Exchange workers — the fields are atomic).
@@ -44,7 +38,7 @@ type Ctx struct {
 
 	// PartC, when set, accumulates runtime partition counters: the
 	// partitions scans actually read vs the partitions pruned by bound
-	// predicates against partition statistics (atomic fields, shared by
+	// predicates against partition zone maps (atomic fields, shared by
 	// parallel workers like SegC).
 	PartC *store.PartCounters
 
@@ -170,7 +164,10 @@ func (s *IndexScan) lookupIDs(ctx *Ctx) ([]int, error) {
 	if eq != nil {
 		ids, ok = tab.LookupIndex(s.Col, *eq)
 	} else {
-		ids, ok = tab.LookupRange(s.Col, lo, hi, s.LoIncl, s.HiIncl)
+		var err error
+		if ids, ok, err = tab.LookupRange(s.Col, lo, hi, s.LoIncl, s.HiIncl); err != nil {
+			return nil, err
+		}
 	}
 	if !ok {
 		return nil, fmt.Errorf("plan: index on %s.%s disappeared after planning",

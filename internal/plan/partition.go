@@ -201,10 +201,10 @@ func offsetIsPartCol(sn *store.Snapshot, rel *Rel, off int) bool {
 // ---- partition pruning ----
 
 // pruneParts evaluates the scan's bound predicates against each
-// partition's resident statistics and hash routing, returning the kept
+// partition's resident zone maps and hash routing, returning the kept
 // global row ranges; nil means the table is unpartitioned (scan as
-// usual). The decision reads only per-partition statistics and the
-// probe values — never rows or segments — so a pruned partition does
+// usual). The decision reads only per-partition zone maps and the
+// probe values — never segment payloads — so a pruned partition does
 // zero segment I/O.
 func (s *Scan) pruneParts(ctx *Ctx, tab *store.TableSnap, preds []boundZone, skipAll bool) [][2]int {
 	n := tab.NumParts()
@@ -230,7 +230,7 @@ func (s *Scan) pruneParts(ctx *Ctx, tab *store.TableSnap, preds []boundZone, ski
 }
 
 // partKeep computes the kept-partition set of a scan: a partition
-// survives unless hash routing excludes it or its statistics prove a
+// survives unless hash routing excludes it or its zone maps prove a
 // bound predicate non-TRUE on every row.
 func partKeep(tab *store.TableSnap, b Binding, preds []boundZone, skipAll bool) []bool {
 	n := tab.NumParts()
@@ -296,21 +296,21 @@ func routeCandidates(sch store.PartScheme, b Binding, preds []boundZone) []bool 
 	return cand
 }
 
-// partPruned reports whether one partition's statistics prove every
-// row rejected. Statistics live on the partition's resident row set,
-// so — like zone-map tests — this never faults a segment in just to
-// decide not to read it.
+// partPruned reports whether one partition's merged zone map proves
+// every row rejected. Zone maps stay resident whatever the segment
+// cache evicts, so this never faults a segment in just to decide not
+// to read it.
 func partPruned(part *store.TableSnap, b Binding, preds []boundZone) bool {
 	for i := range preds {
 		p := &preds[i]
-		st, ok := part.Stats(b.Meta.Columns[p.ci].Name)
+		z, ok := part.Zone(b.Meta.Columns[p.ci].Name)
 		if !ok {
 			continue
 		}
-		if st.Rows == 0 || st.Rows == st.Nulls {
+		if z.Rows == 0 || z.AllNull() {
 			return true // empty, or all-NULL: every comparison rejects
 		}
-		if p.skipsRange(st.Min, st.Max) {
+		if p.skipsRange(z.Min, z.Max) {
 			return true
 		}
 	}

@@ -96,76 +96,6 @@ func collect(n Node, ctx *Ctx) ([]vcol, int, error) {
 
 // ---- scans ----
 
-// retainedVecs picks the binding's retained column vectors.
-func retainedVecs(tab *store.TableSnap, b Binding) []*store.ColVec {
-	all := tab.ColVecs()
-	out := make([]*store.ColVec, len(b.Cols))
-	for p, ci := range b.Cols {
-		out[p] = all[ci]
-	}
-	return out
-}
-
-// sliceBatches iterates [lo, hi) of the column vectors as zero-copy
-// batch views.
-func sliceBatches(cvs []*store.ColVec, lo, hi int) viter {
-	pos := lo
-	return func() (*vbatch, error) {
-		if pos >= hi {
-			return nil, nil
-		}
-		end := pos + maxBatch
-		if end > hi {
-			end = hi
-		}
-		b := &vbatch{n: end - pos, cols: make([]vcol, len(cvs))}
-		for c, cv := range cvs {
-			b.cols[c] = vcol{
-				kind:  cv.Kind,
-				nulls: cv.NullMask(pos, end),
-			}
-			switch cv.Kind {
-			case store.KindInt:
-				b.cols[c].ints = cv.Ints[pos:end]
-			case store.KindFloat:
-				b.cols[c].floats = cv.Floats[pos:end]
-			case store.KindText:
-				b.cols[c].strs = cv.Strs[pos:end]
-			case store.KindBool:
-				b.cols[c].bools = cv.Bools[pos:end]
-			}
-		}
-		pos = end
-		return b, nil
-	}
-}
-
-// gatherBatches materializes the given row ids of the column vectors
-// into dense batches — the index-scan and morsel-over-ids form.
-func gatherBatches(cvs []*store.ColVec, ids []int) viter {
-	pos := 0
-	return func() (*vbatch, error) {
-		if pos >= len(ids) {
-			return nil, nil
-		}
-		end := pos + maxBatch
-		if end > len(ids) {
-			end = len(ids)
-		}
-		chunk := ids[pos:end]
-		b := &vbatch{n: len(chunk), cols: make([]vcol, len(cvs))}
-		for c, cv := range cvs {
-			cb := newColbuf(cv.Kind)
-			for _, id := range chunk {
-				cb.pushStore(cv, id)
-			}
-			b.cols[c] = cb.col()
-		}
-		pos = end
-		return b, nil
-	}
-}
-
 // open starts the scan. Leaf scans carry the cancellation checkpoint:
 // every batch a pipeline processes is pulled through a leaf, so a
 // per-batch check here covers the whole operator tree.
@@ -183,7 +113,7 @@ func (s *Scan) batches(ctx *Ctx) (viter, error) {
 		return nil, errUnknownTable(s.B.Meta.Name)
 	}
 	// A partition-wise worker reads exactly its claimed partition's
-	// stream: the partition view's own column vectors and segment set.
+	// stream: the partition view's own segment set.
 	if pw := ctx.pw; pw != nil {
 		if _, ok := pw.scans[s]; ok {
 			tab = tab.Part(pw.pi)
@@ -195,23 +125,6 @@ func (s *Scan) batches(ctx *Ctx) (viter, error) {
 	// Skip predicates re-bind against this run's parameters, so a
 	// prepared template skips and prunes per its bound constants.
 	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
-	if ctx.NoSeg {
-		cvs := retainedVecs(tab, s.B)
-		if mr := ctx.part; mr != nil && mr.node == Node(s) {
-			if mr.ids != nil {
-				return gatherBatches(cvs, mr.ids), nil
-			}
-			return sliceBatches(cvs, mr.lo, mr.hi), nil
-		}
-		if ranges := s.pruneParts(ctx, tab, preds, skipAll); ranges != nil {
-			its := make([]viter, len(ranges))
-			for i, r := range ranges {
-				its[i] = sliceBatches(cvs, r[0], r[1])
-			}
-			return chainViters(its), nil
-		}
-		return sliceBatches(cvs, 0, tab.Len()), nil
-	}
 	ss := tab.Segments()
 	if mr := ctx.part; mr != nil && mr.node == Node(s) {
 		if mr.ids != nil {
@@ -245,17 +158,6 @@ func (s *IndexScan) batches(ctx *Ctx) (viter, error) {
 	if tab == nil {
 		return nil, errUnknownTable(s.B.Meta.Name)
 	}
-	if ctx.NoSeg {
-		cvs := retainedVecs(tab, s.B)
-		if mr := ctx.part; mr != nil && mr.node == Node(s) {
-			return gatherBatches(cvs, mr.ids), nil
-		}
-		ids, err := s.lookupIDs(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return gatherBatches(cvs, ids), nil
-	}
 	ss := tab.Segments()
 	if mr := ctx.part; mr != nil && mr.node == Node(s) {
 		return segGatherBatches(ctx, ss, s.B, mr.ids), nil
@@ -267,13 +169,14 @@ func (s *IndexScan) batches(ctx *Ctx) (viter, error) {
 	return segGatherBatches(ctx, ss, s.B, ids), nil
 }
 
-// segFault resolves a segment's decoded columns through Segment.Cols,
-// faulting an evicted payload in from the segment cache. The run's
-// Done channel covers the fault-in wait, so a canceled request
-// abandons the disk read queue like any other checkpoint — the
-// cancellation cause wins over the cache's sentinel error.
-func segFault(ctx *Ctx, seg *store.Segment) ([]*store.SegCol, error) {
-	cols, err := seg.Cols(ctx.Done)
+// segFault resolves the binding's columns of a segment through
+// Segment.ColsFor, faulting just those columns of an evicted payload
+// in from the segment cache. The run's Done channel covers the
+// fault-in wait, so a canceled request abandons the disk read queue
+// like any other checkpoint — the cancellation cause wins over the
+// cache's sentinel error.
+func segFault(ctx *Ctx, seg *store.Segment, b Binding) ([]*store.SegCol, error) {
+	cols, err := seg.ColsFor(b.Cols, ctx.Done)
 	if err != nil {
 		if cerr := ctx.canceled(); cerr != nil {
 			return nil, cerr
@@ -315,7 +218,7 @@ func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []b
 					continue
 				}
 				var err error
-				if segCols, err = segFault(ctx, seg); err != nil {
+				if segCols, err = segFault(ctx, seg, b); err != nil {
 					return nil, err
 				}
 				if sc != nil {
@@ -385,7 +288,7 @@ func segGatherBatches(ctx *Ctx, ss *store.SegSet, b Binding, ids []int) viter {
 			for _, id := range chunk {
 				si, off := ss.Locate(id)
 				if si != lastSi {
-					cols, err := segFault(ctx, ss.Segs[si])
+					cols, err := segFault(ctx, ss.Segs[si], b)
 					if err != nil {
 						return nil, err
 					}

@@ -142,29 +142,21 @@ func Build(db *store.DB, opts Options) *Index {
 
 	if opts.Values {
 		for _, t := range db.Schema.Tables {
-			tab := sn.Table(t.Name)
+			ss := sn.Table(t.Name).Segments()
 			for ci, c := range t.Columns {
 				if c.Type != schema.Text {
 					continue
 				}
-				distinct := map[string]store.Value{}
-				over := false
-				for _, row := range tab.Rows() {
-					v := row[ci]
-					if v.IsNull() {
-						continue
-					}
-					distinct[v.Str()] = v
-					if !c.NameLike && len(distinct) > maxValueDistinct {
-						over = true
-						break
-					}
+				limit := maxValueDistinct
+				if c.NameLike {
+					limit = -1
 				}
-				if over {
+				distinct, ok := textValues(ss, ci, limit)
+				if !ok {
 					continue
 				}
-				for s, v := range distinct {
-					idx.registerValue(s, valueEntry{table: t.Name, column: c.Name, value: v})
+				for s := range distinct {
+					idx.registerValue(s, valueEntry{table: t.Name, column: c.Name, value: store.Text(s)})
 				}
 			}
 		}
@@ -173,6 +165,38 @@ func Build(db *store.DB, opts Options) *Index {
 	// is safe for concurrent readers (Correct sorts lazily otherwise).
 	idx.Vocab.Words()
 	return idx
+}
+
+// textValues collects the distinct non-NULL strings of text column ci,
+// reading the segments column-wise: a dictionary segment contributes
+// its dictionary, a plain one (the tail, or a sealed high-cardinality
+// segment) its strings. It gives up — false — past limit distinct
+// values (limit < 0: no cap), or when a spilled payload cannot be
+// faulted in, and the column's values stay out of the index.
+func textValues(ss *store.SegSet, ci, limit int) (map[string]struct{}, bool) {
+	distinct := map[string]struct{}{}
+	for _, seg := range ss.Segs {
+		cols, err := seg.ColsFor([]int{ci}, nil)
+		if err != nil {
+			return nil, false
+		}
+		c := cols[ci]
+		if c.Enc == store.SegDict {
+			for _, s := range c.Dict {
+				distinct[s] = struct{}{}
+			}
+		} else {
+			for i, s := range c.Strs[:c.N] {
+				if !c.IsNull(i) {
+					distinct[s] = struct{}{}
+				}
+			}
+		}
+		if limit >= 0 && len(distinct) > limit {
+			return nil, false
+		}
+	}
+	return distinct, true
 }
 
 // registerName indexes a phrase under its normalized, singularized and

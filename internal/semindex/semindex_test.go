@@ -280,3 +280,63 @@ func BenchmarkBuildIndex(b *testing.B) {
 		Build(db, DefaultOptions())
 	}
 }
+
+// TestValueIndexMatchesRows: the value index, read column-wise from the
+// segments (dictionaries and plain strings), must equal one built from
+// materialized rows. The event log spans a sealed dictionary segment
+// plus a plain tail.
+func TestValueIndexMatchesRows(t *testing.T) {
+	dbs := map[string]*store.DB{"events": dataset.Events(store.DefaultSegmentRows + 1000)}
+	for _, name := range dataset.Names() {
+		db, err := dataset.ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs[name] = db
+	}
+	for name, db := range dbs {
+		idx := Build(db, DefaultOptions())
+		want := &Index{values: map[string][]valueEntry{}, Vocab: idx.Vocab}
+		sn := db.Snapshot()
+		for _, mt := range db.Schema.Tables {
+			rows := sn.Table(mt.Name).Rows()
+			for ci, c := range mt.Columns {
+				if c.Type != schema.Text {
+					continue
+				}
+				distinct := map[string]bool{}
+				for _, row := range rows {
+					if !row[ci].IsNull() {
+						distinct[row[ci].Str()] = true
+					}
+				}
+				if !c.NameLike && len(distinct) > maxValueDistinct {
+					continue
+				}
+				for s := range distinct {
+					want.registerValue(s, valueEntry{table: mt.Name, column: c.Name, value: store.Text(s)})
+				}
+			}
+		}
+		if len(idx.values) != len(want.values) {
+			t.Fatalf("%s: %d value keys from segments, %d from rows", name, len(idx.values), len(want.values))
+		}
+		if len(want.values) == 0 {
+			t.Fatalf("%s: no values indexed", name)
+		}
+		for key, entries := range want.values {
+			got := map[valueEntry]bool{}
+			for _, e := range idx.values[key] {
+				got[e] = true
+			}
+			if len(got) != len(entries) {
+				t.Fatalf("%s: key %q has %d entries from segments, %d from rows", name, key, len(got), len(entries))
+			}
+			for _, e := range entries {
+				if !got[e] {
+					t.Fatalf("%s: key %q misses %+v", name, key, e)
+				}
+			}
+		}
+	}
+}

@@ -22,10 +22,12 @@ func colTestDB(t *testing.T) *DB {
 	return NewDB(s)
 }
 
-// TestColVecsRoundTrip: the columnar layout must hold exactly the
-// row values — including INT→FLOAT coercion widening into FLOAT
-// columns and NULLs in the bitmap — and box them back unchanged.
-func TestColVecsRoundTrip(t *testing.T) {
+// TestTailColumnsRoundTrip: the tail's plain columns must hold
+// exactly the inserted values — including INT→FLOAT widening into
+// FLOAT columns and NULLs in the bitmap — and box them back unchanged.
+// A later insert extends the data slices in place while the earlier
+// snapshot keeps its own length, zone maps and null bitmap.
+func TestTailColumnsRoundTrip(t *testing.T) {
 	db := colTestDB(t)
 	tab := db.Table("m")
 	rows := []Row{
@@ -38,36 +40,58 @@ func TestColVecsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cols := tab.ColVecs()
-	if cols[1].Kind != KindFloat {
-		t.Fatalf("score column kind = %v, want FLOAT", cols[1].Kind)
+	before := tab.Snap()
+	ss := before.Segments()
+	if len(ss.Segs) != 1 || ss.Segs[0].Sealed {
+		t.Fatalf("want one unsealed tail, got %d segments", len(ss.Segs))
+	}
+	cols := ss.Segs[0].MustCols()
+	if cols[1].Kind != KindFloat || cols[1].Enc != SegPlain {
+		t.Fatalf("score column = %v/%v, want plain FLOAT", cols[1].Kind, cols[1].Enc)
 	}
 	if got := cols[1].Floats[0]; got != 2.0 {
 		t.Errorf("widened INT stored as %v, want 2.0", got)
 	}
-	for ri := range rows {
+	want := []Row{
+		{Int(1), Float(2), Text("a"), Bool(true)},
+		{Int(2), Float(3.5), Null(), Bool(false)},
+		{Int(3), Null(), Text("c"), Null()},
+	}
+	for ri := range want {
 		for ci := range cols {
-			want := tab.Row(ri)[ci]
-			got := cols[ci].Value(ri)
-			if want.Key() != got.Key() {
-				t.Errorf("row %d col %d: vector holds %v, row holds %v", ri, ci, got, want)
+			if got := cols[ci].Value(ri); got.Kind() != want[ri][ci].Kind() || Compare(got, want[ri][ci]) != 0 {
+				t.Errorf("row %d col %d: tail holds %v, want %v", ri, ci, got, want[ri][ci])
 			}
 		}
 	}
 	if !cols[2].IsNull(1) || cols[2].IsNull(0) {
 		t.Error("text null bitmap wrong")
 	}
-
-	// The snapshot is cached until a mutation, then rebuilt.
-	if &tab.ColVecs()[0].Ints[0] != &cols[0].Ints[0] {
-		t.Error("ColVecs not cached across calls")
+	if z := cols[1].Zone; z.Rows != 3 || z.Nulls != 1 || Compare(z.Min, Float(2)) != 0 || Compare(z.Max, Float(3.5)) != 0 {
+		t.Errorf("score zone = %+v", z)
 	}
-	if err := tab.Insert(Int(4), Float(1), Text("d"), Bool(true)); err != nil {
+
+	if err := tab.Insert(Int(4), Float(1), Null(), Bool(true)); err != nil {
 		t.Fatal(err)
 	}
-	fresh := tab.ColVecs()
-	if fresh[0].Len() != 4 {
-		t.Errorf("rebuilt vector has %d rows, want 4", fresh[0].Len())
+	fresh := tab.Snap().Segments().Segs[0].MustCols()
+	if fresh[0].N != 4 || len(fresh[0].Ints) != 4 {
+		t.Fatalf("extended tail has %d rows, want 4", fresh[0].N)
+	}
+	if cap(cols[0].Ints) >= 4 && &fresh[0].Ints[0] != &cols[0].Ints[0] {
+		t.Error("tail data slice was copied, not extended in place")
+	}
+	if &fresh[2].Nuls[0] == &cols[2].Nuls[0] {
+		t.Error("tail null bitmap shared across versions")
+	}
+	if cols[0].N != 3 || cols[2].IsNull(3) || before.Len() != 3 || cols[1].Zone.Rows != 3 {
+		t.Error("earlier snapshot's tail moved")
+	}
+	if z := fresh[1].Zone; z.Rows != 4 || Compare(z.Min, Float(1)) != 0 {
+		t.Errorf("extended score zone = %+v", z)
+	}
+	if got := tab.Row(3); !got[2].IsNull() || got[1].Kind() != KindFloat {
+		t.Errorf("row 3 = %v", got)
 	}
 }
 
@@ -111,20 +135,20 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 		}
 	}
 	for _, probe := range []Value{Int(0), Int(150), Int(299), Int(1000)} {
-		ia, oka := a.LookupIndex("id", probe)
-		ib, okb := b.LookupIndex("id", probe)
+		ia, oka := a.Snap().LookupIndex("id", probe)
+		ib, okb := b.Snap().LookupIndex("id", probe)
 		if oka != okb || len(ia) != len(ib) {
 			t.Errorf("index lookup %v differs: %v/%v vs %v/%v", probe, ia, oka, ib, okb)
 		}
 	}
 	lo, hi := Int(10), Int(20)
-	ra, oka := a.LookupRange("id", &lo, &hi, true, true)
-	rb, okb := b.LookupRange("id", &lo, &hi, true, true)
+	ra, oka, _ := a.Snap().LookupRange("id", &lo, &hi, true, true)
+	rb, okb, _ := b.Snap().LookupRange("id", &lo, &hi, true, true)
 	if !oka || !okb || len(ra) != len(rb) {
 		t.Errorf("range lookup differs: %d/%v vs %d/%v", len(ra), oka, len(rb), okb)
 	}
-	sa, _ := a.Stats("score")
-	sb, _ := b.Stats("score")
+	sa, _ := a.Snap().Stats("score")
+	sb, _ := b.Snap().Stats("score")
 	if sa != sb {
 		t.Errorf("stats differ: %+v vs %+v", sa, sb)
 	}
@@ -135,8 +159,8 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 
 // TestBulkInsertValidates: arity and type errors must reject exactly
 // like Insert, and a mid-batch error must leave the table unchanged —
-// no orphan rows, no version bump (cached columnar snapshots and the
-// answer cache both key off the version).
+// no orphan rows, no version bump (the plan and answer caches both key
+// off the version).
 func TestBulkInsertValidates(t *testing.T) {
 	db := colTestDB(t)
 	tab := db.Table("m")

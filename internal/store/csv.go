@@ -199,7 +199,12 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, len(t.Meta.Columns))
-	for _, row := range t.Snap().Rows() {
+	sn := t.Snap()
+	rows, err := sn.ReadRows(0, sn.Len())
+	if err != nil {
+		return err
+	}
+	for _, row := range rows {
 		for i, v := range row {
 			if v.IsNull() {
 				rec[i] = ""

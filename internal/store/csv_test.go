@@ -120,7 +120,7 @@ func TestLoadCSVDir(t *testing.T) {
 	if db.Table("people").Len() != 1 || db.Table("pets").Len() != 0 {
 		t.Errorf("rows: people=%d pets=%d", db.Table("people").Len(), db.Table("pets").Len())
 	}
-	if !db.Table("people").HasIndex("id") {
+	if !db.Table("people").Snap().HasIndex("id") {
 		t.Error("LoadCSVDir must build primary indexes")
 	}
 }

@@ -12,8 +12,8 @@ import (
 //     it (its length and a content fingerprint stay frozen);
 //   - the live table always equals the model: every published version
 //     contains exactly the rows written before it, in order;
-//   - a snapshot's column vectors agree with its rows (no torn or
-//     leaked cells from copy-on-write extension).
+//   - a pinned snapshot's segments hold exactly the model's prefix (no
+//     torn or leaked cells from in-place tail extension or sealing).
 //
 // Each input byte is one operation; low bits select the op, high bits
 // parameterize it — tiny inputs still exercise interleavings.
@@ -88,8 +88,8 @@ func FuzzSnapshotVisibility(f *testing.F) {
 					t.Fatal(err)
 				}
 			case 3: // warm lazy caches (exercises incremental extension)
-				tab.ColVecs()
-				tab.Stats("id")
+				tab.Snap().Segments()
+				tab.Snap().Stats("id")
 			case 4: // pin a snapshot
 				s := tab.Snap()
 				pins = append(pins, pinned{snap: s, len: s.Len(), sum: fingerprint(s.Rows())})
@@ -117,14 +117,13 @@ func FuzzSnapshotVisibility(f *testing.F) {
 			if got := fingerprint(p.snap.Rows()); got != p.sum {
 				t.Fatalf("pin %d: contents moved (%d -> %d)", i, p.sum, got)
 			}
-			cols := p.snap.ColVecs()
-			for ci := range p.snap.Meta.Columns {
-				if cols[ci].Len() != p.len {
-					t.Fatalf("pin %d col %d: vector len %d != %d", i, ci, cols[ci].Len(), p.len)
-				}
-				for ri, row := range p.snap.Rows() {
-					if Compare(cols[ci].Value(ri), row[ci]) != 0 {
-						t.Fatalf("pin %d: vector cell (%d,%d) diverges", i, ri, ci)
+			if n := p.snap.Segments().N; n != p.len {
+				t.Fatalf("pin %d: segments cover %d rows, pinned %d", i, n, p.len)
+			}
+			for ri, row := range p.snap.Rows() {
+				for ci := range row {
+					if Compare(row[ci], model[ri][ci]) != 0 {
+						t.Fatalf("pin %d: cell (%d,%d) is %v, model %v", i, ri, ci, row[ci], model[ri][ci])
 					}
 				}
 			}

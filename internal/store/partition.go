@@ -17,7 +17,7 @@ import (
 //
 // The canonical row order of a partitioned table is the concatenation of
 // its partitions (partition 0 first). Every merged read view — rows,
-// indexes, stats, column vectors, segments — presents exactly that
+// indexes, stats, segments — presents exactly that
 // order, so execution layers that are unaware of partitioning stay
 // row-for-row identical to a single-partition table with the same
 // contents in the same canonical order.
@@ -130,17 +130,15 @@ type partSet struct {
 	version uint64
 	cum     []int // cum[p] = global row offset of partition p; len N+1
 
-	// merged holds the lazily-built merged read views of this set (rows,
-	// stats, column vectors, segments in canonical order). Fresh per
-	// partSet: a new publish starts a new merged cache, exactly like
-	// dataCaches per tableData.
+	// merged holds the lazily-built merged read views of this set
+	// (stats and segments in canonical order). Fresh per partSet: a new
+	// publish starts a new merged cache, exactly like the per-version
+	// statistics cache.
 	merged *mergedData
 }
 
 type mergedData struct {
 	mu    sync.Mutex
-	rows  []Row
-	cols  []*ColVec
 	segs  *SegSet
 	stats map[string]ColStats
 }
@@ -154,34 +152,12 @@ func newPartSet(layout *partLayout, datas []*tableData, version uint64) *partSet
 		merged:  &mergedData{},
 	}
 	for i, d := range datas {
-		ps.cum[i+1] = ps.cum[i] + len(d.rows)
+		ps.cum[i+1] = ps.cum[i] + d.segs.N
 	}
 	return ps
 }
 
 func (ps *partSet) totalRows() int { return ps.cum[len(ps.datas)] }
-
-// mergedRows concatenates the partition row sets in canonical order,
-// cached on the set.
-func (ps *partSet) mergedRows() []Row {
-	m := ps.merged
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return ps.mergedRowsLocked()
-}
-
-// mergedRowsLocked is mergedRows for callers already holding merged.mu.
-func (ps *partSet) mergedRowsLocked() []Row {
-	m := ps.merged
-	if m.rows == nil {
-		out := make([]Row, 0, ps.totalRows())
-		for _, d := range ps.datas {
-			out = append(out, d.rows...)
-		}
-		m.rows = out
-	}
-	return m.rows
-}
 
 // PartCounters counts partition visits on the scan path, threaded
 // through execution the same way SegCounters is: Scanned partitions
@@ -225,28 +201,47 @@ func (t *Table) Partition(scheme PartScheme) error {
 	defer unlockAll(old)
 	ps := t.pset.Load()
 
-	// Gather in canonical order, then reroute.
-	all := ps.mergedRows()
+	// Reroute in canonical order, one source segment at a time.
+	d0 := ps.datas[0]
+	datas := make([]*tableData, scheme.N)
+	for p := range datas {
+		datas[p] = emptyData(d0.segRows)
+	}
+	var kind Kind
+	if scheme.N > 1 {
+		kind = KindOfColType(t.Meta.Columns[scheme.Ci].Type)
+	}
 	parts := make([][]Row, scheme.N)
-	if scheme.N == 1 {
-		parts[0] = append([]Row(nil), all...)
-	} else {
-		var buf []byte
-		var p int
-		for _, row := range all {
-			p, buf = scheme.routeKey(row[scheme.Ci], buf)
-			parts[p] = append(parts[p], row)
+	var buf []byte
+	for _, d := range ps.datas {
+		err := d.segs.eachSegment(len(t.Meta.Columns), func(rows []Row) {
+			for _, row := range rows {
+				p := 0
+				if scheme.N > 1 {
+					p, buf = scheme.routeKey(widen(row[scheme.Ci], kind), buf)
+				}
+				parts[p] = append(parts[p], row)
+			}
+			for p, pr := range parts {
+				if len(pr) > 0 {
+					datas[p].segs = appendSegs(t.Meta, datas[p].segs, pr, d0.segRows)
+					parts[p] = pr[:0]
+				}
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 
 	// The index DDL set carries over: rebuild each index per partition
 	// over partition-local row ids.
-	d0 := ps.datas[0]
 	hashCols := sortedKeys(d0.hash)
 	ordCols := sortedKeys(d0.ord)
-	datas := make([]*tableData, scheme.N)
-	for p, rows := range parts {
-		datas[p] = buildPartData(t.colIdx, rows, hashCols, ordCols, d0.segRows)
+	for _, d := range datas {
+		if err := buildIndexes(t.colIdx, d, hashCols, ordCols); err != nil {
+			return err
+		}
 	}
 
 	layout := &partLayout{scheme: scheme, locks: make([]sync.Mutex, scheme.N)}
@@ -268,26 +263,27 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// buildPartData builds one partition's tableData from scratch: rows in
-// routed order, hash and ordered indexes over partition-local ids.
-func buildPartData(colIdx map[string]int, rows []Row, hashCols, ordCols []string, segRows int) *tableData {
-	d := &tableData{rows: rows, segRows: segRows, caches: &dataCaches{}}
+// buildIndexes builds one partition's hash and ordered indexes from
+// scratch over its segments (partition-local ids).
+func buildIndexes(colIdx map[string]int, d *tableData, hashCols, ordCols []string) error {
 	if len(hashCols) > 0 {
 		d.hash = make(map[string]map[string][]int, len(hashCols))
 		for _, col := range hashCols {
-			ci := colIdx[col]
-			idx := make(map[string][]int)
-			for id, row := range rows {
-				k := row[ci].Key()
-				idx[k] = append(idx[k], id)
+			idx, err := hashIndex(d.segs, colIdx[col])
+			if err != nil {
+				return err
 			}
 			d.hash[col] = idx
 		}
 	}
 	for _, col := range ordCols {
-		d.ord = withOrderedIndex(d, col, colIdx[col])
+		ord, err := withOrderedIndex(d, col, colIdx[col])
+		if err != nil {
+			return err
+		}
+		d.ord = ord
 	}
-	return d
+	return nil
 }
 
 // lockAll acquires every partition writer lock of the table's current

@@ -143,8 +143,8 @@ func TestPartitionedReadsMatchSingle(t *testing.T) {
 
 			// Range probes return the same multiset of values, ascending.
 			lo, hi := Int(50), Int(199)
-			sids, _ := ss.LookupRange("id", &lo, &hi, true, true)
-			pids, ok := ps.LookupRange("id", &lo, &hi, true, true)
+			sids, _, _ := ss.LookupRange("id", &lo, &hi, true, true)
+			pids, ok, _ := ps.LookupRange("id", &lo, &hi, true, true)
 			if !ok {
 				t.Fatalf("merged view lost the ordered index")
 			}
@@ -259,7 +259,7 @@ func TestRepartitionVersioning(t *testing.T) {
 	if v := tab.Version(); v <= v1 {
 		t.Fatalf("partitioned load must bump the version: %d -> %d", v1, v)
 	}
-	if !tab.HasIndex("grp") {
+	if !tab.Snap().HasIndex("grp") {
 		t.Fatal("repartition dropped the grp index")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -52,7 +53,7 @@ type SegCache struct {
 // same segment wait on done instead of issuing duplicate reads.
 type segFlight struct {
 	done chan struct{}
-	cols []*SegCol
+	pay  *segPayload
 	err  error
 }
 
@@ -101,21 +102,16 @@ func (c *SegCache) adopt(ss *SegSet) {
 // memory-only forever — correctness degrades to the memory-only store,
 // not to data loss.
 func (c *SegCache) adoptOne(s *Segment) {
+	// Adoption happens before the segment is ever eligible for
+	// eviction, so its payload is resident and complete.
+	data, offs := encodeSegment(s.Resident(), s.N, s.Sealed)
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
 	c.mu.Unlock()
-	if !s.src.CompareAndSwap(nil, &segSrc{id: id, c: c}) {
+	if !s.src.CompareAndSwap(nil, &segSrc{id: id, c: c, offs: offs}) {
 		return // another adopter won; it owns the file write
 	}
-	cols := s.Resident()
-	if cols == nil {
-		// Unreachable by construction: adoption happens before the
-		// segment is ever eligible for eviction.
-		c.spillErrs.Add(1)
-		return
-	}
-	data := EncodeSegment(cols, s.N, s.Sealed)
 	if err := writeSegmentBytes(c.path(id), data); err != nil {
 		c.spillErrs.Add(1)
 		return
@@ -129,46 +125,81 @@ func (c *SegCache) adoptOne(s *Segment) {
 	c.mu.Unlock()
 }
 
-// fault brings an evicted payload back from disk. Concurrent faults of
-// the same segment collapse into one read (singleflight); waiters can
-// abandon the wait when done fires. The faulted-in payload re-enters
-// the eviction ring, possibly evicting colder segments to make room.
-func (c *SegCache) fault(s *Segment, sp *segSrc, done <-chan struct{}) ([]*SegCol, error) {
-	if done != nil {
-		select {
-		case <-done:
-			return nil, errSegFaultCanceled
-		default:
-		}
-	}
-	c.mu.Lock()
-	if p := s.pay.Load(); p != nil {
-		// Raced with another faulter that already finished.
-		s.ref.Store(true)
-		c.hits.Add(1)
-		c.mu.Unlock()
-		return *p, nil
-	}
-	if f, ok := c.inflight[sp.id]; ok {
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			if f.err != nil {
-				return nil, f.err
+// fault brings the columns in need (every column when nil) of an
+// evicted or partially resident payload back from disk, decoding only
+// the missing ones and merging them with the columns already resident.
+// Concurrent faults of the same segment collapse into one read
+// (singleflight); a waiter whose columns the finished flight did not
+// cover faults again. Waiters can abandon the wait when done fires.
+// The payload (re-)enters the eviction ring at its new size, possibly
+// evicting colder segments to make room.
+func (c *SegCache) fault(s *Segment, sp *segSrc, need []int, done <-chan struct{}) ([]*SegCol, error) {
+	for {
+		if done != nil {
+			select {
+			case <-done:
+				return nil, errSegFaultCanceled
+			default:
 			}
-			// The payload may have been evicted again already, but the
-			// decoded columns themselves are immutable and valid.
+		}
+		c.mu.Lock()
+		if p := s.pay.Load(); p != nil && p.covers(need) {
+			// Raced with another faulter that already finished.
+			s.ref.Store(true)
 			c.hits.Add(1)
-			return f.cols, nil
-		case <-done:
-			return nil, errSegFaultCanceled
+			c.mu.Unlock()
+			return p.cols, nil
+		}
+		if f, ok := c.inflight[sp.id]; ok {
+			c.mu.Unlock()
+			select {
+			case <-f.done:
+				if f.err != nil {
+					return nil, f.err
+				}
+				// The payload may have been evicted again already, but
+				// the decoded columns themselves are immutable and valid.
+				if f.pay.covers(need) {
+					c.hits.Add(1)
+					return f.pay.cols, nil
+				}
+				continue
+			case <-done:
+				return nil, errSegFaultCanceled
+			}
+		}
+		f := &segFlight{done: make(chan struct{})}
+		c.inflight[sp.id] = f
+		base := s.pay.Load() // resident columns to keep, or nil
+		c.mu.Unlock()
+		return c.flight(s, sp, f, base, need)
+	}
+}
+
+// flight runs one fault-in: decode the needed columns base lacks and
+// publish the merged payload.
+func (c *SegCache) flight(s *Segment, sp *segSrc, f *segFlight, base *segPayload, need []int) ([]*SegCol, error) {
+	want := make([]bool, len(s.Zones)) // needed and not yet resident
+	for ci := range want {
+		want[ci] = (need == nil || slices.Contains(need, ci)) && (base == nil || base.cols[ci] == nil)
+	}
+	var cols []*SegCol
+	err := readSegmentFile(c.path(sp.id), func(data []byte) (err error) {
+		cols, _, _, err = decodeSegment(data, sp.offs, want)
+		return err
+	})
+	var p *segPayload
+	if err == nil {
+		p = &segPayload{cols: cols}
+		for ci, col := range cols {
+			if col == nil && base != nil {
+				cols[ci] = base.cols[ci]
+			}
+			if cols[ci] != nil {
+				p.bytes += cols[ci].Bytes()
+			}
 		}
 	}
-	f := &segFlight{done: make(chan struct{})}
-	c.inflight[sp.id] = f
-	c.mu.Unlock()
-
-	cols, _, _, err := ReadSegmentFile(c.path(sp.id))
 
 	c.mu.Lock()
 	delete(c.inflight, sp.id)
@@ -176,13 +207,21 @@ func (c *SegCache) fault(s *Segment, sp *segSrc, done <-chan struct{}) ([]*SegCo
 		c.faultErrs.Add(1)
 		f.err = err
 	} else {
-		f.cols = cols
-		s.pay.Store(&cols)
-		s.ref.Store(true)
+		f.pay = p
 		c.misses.Add(1)
-		c.faultBytes.Add(int64(s.bytes))
-		c.ring = append(c.ring, s)
-		c.used += int64(s.bytes)
+		// Only faulters (serialized per segment by the flight) store a
+		// payload and only eviction clears it, so a payload still
+		// present is base, still in the ring.
+		grown := p.bytes
+		if cur := s.pay.Load(); cur != nil {
+			grown -= cur.bytes
+		} else {
+			c.ring = append(c.ring, s)
+		}
+		c.used += int64(grown)
+		c.faultBytes.Add(int64(grown))
+		s.pay.Store(p)
+		s.ref.Store(true)
 		c.evictLocked()
 	}
 	c.mu.Unlock()
@@ -190,7 +229,7 @@ func (c *SegCache) fault(s *Segment, sp *segSrc, done <-chan struct{}) ([]*SegCo
 	if err != nil {
 		return nil, err
 	}
-	return cols, nil
+	return p.cols, nil
 }
 
 // evictLocked runs the CLOCK second-chance sweep until the resident
@@ -208,8 +247,7 @@ func (c *SegCache) evictLocked() {
 			c.hand++
 			continue
 		}
-		s.pay.Store(nil)
-		c.used -= int64(s.bytes)
+		c.used -= int64(s.pay.Swap(nil).bytes)
 		c.evictions.Add(1)
 		c.ring[c.hand] = c.ring[len(c.ring)-1]
 		c.ring = c.ring[:len(c.ring)-1]
@@ -236,7 +274,7 @@ type SegCacheStats struct {
 	Hits         int64 // payload resident (or shared an in-flight fault)
 	Misses       int64 // payload faulted in from disk
 	Evictions    int64 // payloads dropped by the CLOCK sweep
-	FaultBytes   int64 // decoded payload bytes faulted in
+	FaultBytes   int64 // decoded column bytes faulted in
 	SpilledSegs  int64 // segments written to the spill directory
 	SpilledBytes int64 // serialized bytes written
 	SpillErrs    int64 // failed spill writes (segment stays memory-only)

@@ -86,12 +86,59 @@ func TestSegCacheSpillEvictFault(t *testing.T) {
 	}
 }
 
+// TestSegCacheColumnFault: a reader of one column faults in only that
+// column of an evicted segment; a later reader of every column faults
+// the rest in and sees the merged payload; the cache's resident bytes
+// track the decoded columns exactly.
+func TestSegCacheColumnFault(t *testing.T) {
+	db, tab := spillTable(t, 1024, 256, 1<<30)
+	c := db.SegCache()
+	ss := tab.Snap().Segments()
+	seg := ss.Segs[1]
+	full := seg.MustCols()
+	c.EvictAll()
+
+	before := c.Stats()
+	cols, err := seg.ColsFor([]int{3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, col := range cols {
+		if (col != nil) != (ci == 3) {
+			t.Fatalf("column %d decoded=%v after a fault for column 3", ci, col != nil)
+		}
+	}
+	st := c.Stats()
+	if st.Misses-before.Misses != 1 || st.FaultBytes-before.FaultBytes != int64(full[3].Bytes()) || st.Used != int64(full[3].Bytes()) {
+		t.Fatalf("one-column fault: %+v, column bytes %d", st, full[3].Bytes())
+	}
+	if _, err := seg.ColsFor([]int{3}, nil); err != nil || c.Stats().Misses != st.Misses {
+		t.Fatalf("resident column faulted again (%v)", err)
+	}
+
+	all := seg.MustCols()
+	st2 := c.Stats()
+	if st2.Misses != st.Misses+1 || st2.Used != int64(seg.Bytes()) {
+		t.Fatalf("completing fault: misses %d -> %d, used %d want %d", st.Misses, st2.Misses, st2.Used, seg.Bytes())
+	}
+	if all[3] != cols[3] {
+		t.Error("completing fault re-decoded the resident column instead of keeping it")
+	}
+	for ci := range full {
+		for i := 0; i < seg.N; i++ {
+			if Compare(all[ci].Value(i), full[ci].Value(i)) != 0 {
+				t.Fatalf("col %d row %d: faulted %v, original %v", ci, i, all[ci].Value(i), full[ci].Value(i))
+			}
+		}
+	}
+}
+
 // TestSegCacheHitPath: with an ample budget nothing is evicted and
 // repeated Cols calls are hits, not faults.
 func TestSegCacheHitPath(t *testing.T) {
 	db, tab := spillTable(t, 1024, 256, 64<<20)
 	c := db.SegCache()
-	ss := tab.Segments()
+	ss := tab.Snap().Segments()
 	base := c.Stats()
 	if base.Evictions != 0 {
 		t.Fatalf("%d evictions under an ample budget", base.Evictions)
@@ -118,7 +165,7 @@ func TestSegCacheHitPath(t *testing.T) {
 func TestSegCacheSingleflight(t *testing.T) {
 	db, tab := spillTable(t, 512, 256, 64<<20)
 	c := db.SegCache()
-	ss := tab.Segments()
+	ss := tab.Snap().Segments()
 	seg := ss.Segs[0]
 	if !seg.Sealed {
 		t.Fatal("fixture: first segment not sealed")
@@ -157,7 +204,7 @@ func TestSegCacheSingleflight(t *testing.T) {
 func TestSegCacheFaultCancellation(t *testing.T) {
 	db, tab := spillTable(t, 512, 256, 64<<20)
 	c := db.SegCache()
-	seg := tab.Segments().Segs[0]
+	seg := tab.Snap().Segments().Segs[0]
 	c.EvictAll()
 
 	done := make(chan struct{})
@@ -177,7 +224,7 @@ func TestSegCacheFaultCancellation(t *testing.T) {
 func TestSegCacheClockSecondChance(t *testing.T) {
 	db, tab := spillTable(t, 2048, 256, 64<<20)
 	c := db.SegCache()
-	ss := tab.Segments()
+	ss := tab.Snap().Segments()
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Fatalf("pre-test evictions: %d", st.Evictions)
 	}

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
+	"sync"
 )
 
 // This file is the on-disk serialization of a segment — the spill half
@@ -60,6 +62,14 @@ var segCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // EncodeSegment serializes a segment payload (its decoded columns plus
 // the row count and seal flag) into the versioned, checksummed format.
 func EncodeSegment(cols []*SegCol, n int, sealed bool) []byte {
+	data, _ := encodeSegment(cols, n, sealed)
+	return data
+}
+
+// encodeSegment is EncodeSegment also returning where each column's
+// bytes start (offs[i]; offs[len(cols)] is where the checksum starts),
+// which lets a later read decode single columns.
+func encodeSegment(cols []*SegCol, n int, sealed bool) (data []byte, offs []int) {
 	buf := make([]byte, 0, 64+estimateSegSize(cols))
 	buf = append(buf, segMagic[:]...)
 	buf = append(buf, segFormatVersion)
@@ -70,10 +80,13 @@ func EncodeSegment(cols []*SegCol, n int, sealed bool) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cols)))
-	for _, c := range cols {
+	offs = make([]int, len(cols)+1)
+	for i, c := range cols {
+		offs[i] = len(buf)
 		buf = encodeSegColTo(buf, c)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, segCRCTable))
+	offs[len(cols)] = len(buf)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, segCRCTable)), offs
 }
 
 func estimateSegSize(cols []*SegCol) int {
@@ -294,6 +307,15 @@ func (r *segReader) value() (Value, error) {
 // panic, and a fully successful decode is semantically identical to
 // the segment that was encoded.
 func DecodeSegment(data []byte) (cols []*SegCol, n int, sealed bool, err error) {
+	return decodeSegment(data, nil, nil)
+}
+
+// decodeSegment is DecodeSegment, or with column offsets (offs, as
+// encodeSegment reports them) decodes only the columns want marks,
+// each from its offset, leaving the rest nil. The checksum covers the
+// whole segment either way, and a positioned column must end exactly
+// where the next begins.
+func decodeSegment(data []byte, offs []int, want []bool) (cols []*SegCol, n int, sealed bool, err error) {
 	if len(data) < segHeaderLen+4 {
 		return nil, 0, false, errSegTruncated
 	}
@@ -313,14 +335,26 @@ func DecodeSegment(data []byte) (cols []*SegCol, n int, sealed bool, err error) 
 	if ncols > segMaxCols {
 		return nil, 0, false, fmt.Errorf("store: segment data: %d columns exceeds the format bound", ncols)
 	}
+	if offs != nil && (ncols != len(want) || len(offs) != ncols+1 || offs[ncols] != len(body)) {
+		return nil, 0, false, fmt.Errorf("store: segment data: layout does not match the segment's %d columns", len(want))
+	}
 	r := &segReader{data: body, off: segHeaderLen}
 	cols = make([]*SegCol, ncols)
 	for ci := range cols {
-		if cols[ci], err = decodeSegCol(r, n); err != nil {
+		if offs != nil {
+			if !want[ci] {
+				continue
+			}
+			r.off = offs[ci]
+		}
+		if cols[ci], err = decodeSegCol(r, n); err == nil && offs != nil && r.off != offs[ci+1] {
+			err = fmt.Errorf("ends at byte %d, not %d", r.off, offs[ci+1])
+		}
+		if err != nil {
 			return nil, 0, false, fmt.Errorf("store: segment data: column %d: %w", ci, err)
 		}
 	}
-	if r.remaining() != 0 {
+	if offs == nil && r.remaining() != 0 {
 		return nil, 0, false, fmt.Errorf("store: segment data: %d trailing bytes", r.remaining())
 	}
 	return cols, n, sealed, nil
@@ -525,14 +559,10 @@ func (r *segReader) bytesFor(n, width int) ([]byte, error) {
 	return r.bytes(n * width)
 }
 
-// WriteSegmentFile atomically writes the serialized segment to path:
+// writeSegmentBytes atomically writes a serialized segment to path:
 // the bytes land in a temporary sibling first and are renamed into
 // place, so a crash mid-write never leaves a half file under the
 // final name (a torn write under the temp name fails its checksum).
-func WriteSegmentFile(path string, cols []*SegCol, n int, sealed bool) error {
-	return writeSegmentBytes(path, EncodeSegment(cols, n, sealed))
-}
-
 func writeSegmentBytes(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
@@ -545,15 +575,40 @@ func writeSegmentBytes(path string, data []byte) error {
 	return nil
 }
 
-// ReadSegmentFile reads and decodes one serialized segment.
-func ReadSegmentFile(path string) (cols []*SegCol, n int, sealed bool, err error) {
-	data, err := os.ReadFile(path)
+// segReadBufs recycles the file buffers fault-ins read into. Decoding
+// copies everything it keeps (strings included), so a buffer is free
+// again once DecodeSegment returns. With the table living only in
+// segments, the live heap of a spilled store is small and the garbage
+// collector's pace follows the bytes allocated per fault; recycling the
+// raw file bytes halves them.
+var segReadBufs sync.Pool // of *[]byte
+
+// readSegmentFile reads one segment file into a recycled buffer and
+// hands the bytes to decode, which must copy whatever it keeps.
+func readSegmentFile(path string, decode func(data []byte) error) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("store: reading segment: %w", err)
+		return fmt.Errorf("store: reading segment: %w", err)
 	}
-	cols, n, sealed, err = DecodeSegment(data)
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("store: reading segment %s: %w", path, err)
+		return fmt.Errorf("store: reading segment: %w", err)
 	}
-	return cols, n, sealed, nil
+	bp, _ := segReadBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer segReadBufs.Put(bp)
+	if size := int(fi.Size()); cap(*bp) < size {
+		*bp = make([]byte, size)
+	}
+	data := (*bp)[:fi.Size()]
+	if _, err := io.ReadFull(f, data); err != nil {
+		return fmt.Errorf("store: reading segment: %w", err)
+	}
+	if err := decode(data); err != nil {
+		return fmt.Errorf("store: reading segment %s: %w", path, err)
+	}
+	return nil
 }

@@ -15,6 +15,21 @@ import (
 
 // sameSegCols fails the test unless got is semantically identical to
 // want: same shape, encoding, zone map, null bitmap and cell values.
+// WriteSegmentFile writes one segment to path the way the segment
+// cache spills it.
+func WriteSegmentFile(path string, cols []*SegCol, n int, sealed bool) error {
+	return writeSegmentBytes(path, EncodeSegment(cols, n, sealed))
+}
+
+// ReadSegmentFile reads and fully decodes one segment file.
+func ReadSegmentFile(path string) (cols []*SegCol, n int, sealed bool, err error) {
+	err = readSegmentFile(path, func(data []byte) (err error) {
+		cols, n, sealed, err = DecodeSegment(data)
+		return err
+	})
+	return cols, n, sealed, err
+}
+
 func sameSegCols(t *testing.T, ctx string, want, got []*SegCol, n int) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -71,7 +86,7 @@ func codecFixtures(t *testing.T) map[string]*Segment {
 	if err := tab.BulkInsert(rows); err != nil {
 		t.Fatal(err)
 	}
-	ss := tab.Segments()
+	ss := tab.Snap().Segments()
 	for i, seg := range ss.Segs {
 		out[fmt.Sprintf("mixed-%d-sealed=%v", i, seg.Sealed)] = seg
 	}
@@ -83,7 +98,7 @@ func codecFixtures(t *testing.T) map[string]*Segment {
 		if err := tb.BulkInsert(rows); err != nil {
 			t.Fatal(err)
 		}
-		for i, seg := range tb.Segments().Segs {
+		for i, seg := range tb.Snap().Segments().Segs {
 			out[fmt.Sprintf("%s-%d", name, i)] = seg
 		}
 	}
@@ -181,7 +196,7 @@ func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 	if err := tab.BulkInsert(rows); err != nil {
 		t.Fatal(err)
 	}
-	seg := tab.Segments().Segs[0]
+	seg := tab.Snap().Segments().Segs[0]
 	data := EncodeSegment(seg.MustCols(), seg.N, seg.Sealed)
 
 	// Every flipped byte is either caught by the checksum, or — for the
@@ -253,7 +268,7 @@ func FuzzSegmentCodec(f *testing.F) {
 	if err := tab.BulkInsert(rows); err != nil {
 		f.Fatal(err)
 	}
-	for _, seg := range tab.Segments().Segs {
+	for _, seg := range tab.Snap().Segments().Segs {
 		f.Add(EncodeSegment(seg.MustCols(), seg.N, seg.Sealed))
 	}
 	f.Add([]byte{})

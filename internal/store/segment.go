@@ -1,7 +1,9 @@
 package store
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/schema"
@@ -17,10 +19,13 @@ import (
 // Every sealed column carries a zone map (min/max + null count) the
 // planner tests bound predicates against to skip whole segments.
 //
-// MVCC composes: publishRows hands the previous version's sealed
-// segments to the next version by pointer (they are immutable) and only
-// re-encodes the tail, sealing full chunks as the tail crosses the
-// segment size — appending rows never re-compresses sealed history.
+// The segments are the table: a table version is exactly its segment
+// set, built as rows are published, with no row-major copy beside it.
+// MVCC composes: a publish hands the previous version's sealed segments
+// to the next version by pointer (they are immutable) and appends the
+// new rows to the tail's plain columns in place, sealing the tail when
+// it reaches the segment size — appending rows never re-compresses
+// sealed history, and never re-encodes the tail either.
 
 // DefaultSegmentRows is the seal boundary: rows per sealed segment.
 const DefaultSegmentRows = 64 * 1024
@@ -29,7 +34,7 @@ const DefaultSegmentRows = 64 * 1024
 type SegEncoding uint8
 
 const (
-	// SegPlain stores the typed slice as-is (the ColVec layout).
+	// SegPlain stores the typed slice as-is (the tail's layout).
 	SegPlain SegEncoding = iota
 	// SegDict stores low-cardinality strings as codes into a
 	// per-segment dictionary of distinct values.
@@ -226,8 +231,8 @@ func (c *SegCol) DecodeInts(lo, hi int, dst []int64) []int64 {
 }
 
 // Bytes is the resident data footprint of the encoded column: slice
-// contents plus string headers and bytes, the same accounting
-// ColVecsBytes uses for the uncompressed layout.
+// contents plus string headers and bytes. For a plain column this is
+// the uncompressed footprint SegSet.PlainBytes reports.
 func (c *SegCol) Bytes() int {
 	b := len(c.Ints)*8 + len(c.Floats)*8 + len(c.Bools) + len(c.Nuls)*8
 	for _, s := range c.Strs {
@@ -245,7 +250,8 @@ func (c *SegCol) Bytes() int {
 // Segment is one immutable run of table rows with per-column encodings
 // and zone maps. Sealed segments never change and are shared by
 // pointer across table versions; the single unsealed tail segment is
-// rebuilt (plain-encoded) on each publish.
+// plain-encoded, and each publish wraps its in-place-extended columns
+// in a new Segment.
 //
 // The struct splits into an always-resident identity — row count,
 // seal flag and per-column zone maps — and a faultable payload (the
@@ -254,8 +260,8 @@ func (c *SegCol) Bytes() int {
 // serialized write-once to disk and the segment cache may drop the
 // payload under byte-budget pressure, leaving the zone maps behind so
 // the planner's skip predicates keep pruning without I/O. Readers go
-// through Cols, which faults an evicted payload back in through the
-// cache.
+// through Cols or ColsFor, which fault an evicted payload back in
+// through the cache — ColsFor only the columns a scan reads.
 type Segment struct {
 	N      int
 	Sealed bool
@@ -265,28 +271,57 @@ type Segment struct {
 	// in-memory test whatever the cache does to the payload.
 	Zones []ZoneMap
 
-	bytes int                       // payload footprint, fixed at encode time
-	ref   atomic.Bool               // CLOCK reference bit (second chance)
-	src   atomic.Pointer[segSrc]    // spill identity; nil until adopted
-	pay   atomic.Pointer[[]*SegCol] // decoded columns; nil when evicted
+	bytes int                        // payload footprint, fixed at encode time
+	plain int                        // footprint of the same rows plain-encoded
+	ref   atomic.Bool                // CLOCK reference bit (second chance)
+	src   atomic.Pointer[segSrc]     // spill identity; nil until adopted
+	pay   atomic.Pointer[segPayload] // decoded columns; nil when evicted
+}
+
+// segPayload is a segment's decoded columns. A payload faulted in for
+// a scan may hold only the columns that scan reads (nil entries are
+// not decoded); bytes is the footprint of the decoded ones.
+type segPayload struct {
+	cols  []*SegCol
+	bytes int
+}
+
+// covers reports whether every column in need (all of them when need
+// is nil) is decoded.
+func (p *segPayload) covers(need []int) bool {
+	for ci, c := range p.cols {
+		if c == nil && (need == nil || slices.Contains(need, ci)) {
+			return false
+		}
+	}
+	return true
 }
 
 // segSrc is the spill identity of an adopted segment: the cache that
-// owns its on-disk copy and the file id within it. Set once at
-// adoption, before the payload can ever be evicted.
+// owns its on-disk copy, the file id within it, and where each column
+// starts in the file. Set once at adoption, before the payload can ever
+// be evicted.
 type segSrc struct {
-	id uint64
-	c  *SegCache
+	id   uint64
+	c    *SegCache
+	offs []int
 }
 
 // newSegment wraps freshly encoded columns into a resident segment.
-func newSegment(cols []*SegCol, n int, sealed bool) *Segment {
-	s := &Segment{N: n, Sealed: sealed, Zones: make([]ZoneMap, len(cols))}
+// bytes is the payload footprint when the caller tracks it, or < 0 to
+// sum the columns' Bytes.
+func newSegment(cols []*SegCol, n int, sealed bool, bytes int) *Segment {
+	s := &Segment{N: n, Sealed: sealed, Zones: make([]ZoneMap, len(cols)), bytes: bytes}
+	if bytes < 0 {
+		s.bytes = 0
+		for _, c := range cols {
+			s.bytes += c.Bytes()
+		}
+	}
 	for i, c := range cols {
 		s.Zones[i] = c.Zone
-		s.bytes += c.Bytes()
 	}
-	s.pay.Store(&cols)
+	s.pay.Store(&segPayload{cols: cols, bytes: s.bytes})
 	return s
 }
 
@@ -297,18 +332,27 @@ func newSegment(cols []*SegCol, n int, sealed bool) *Segment {
 // and stay valid however the cache evicts afterwards — eviction only
 // drops the cache's reference, never the data under a reader.
 func (s *Segment) Cols(done <-chan struct{}) ([]*SegCol, error) {
-	if p := s.pay.Load(); p != nil {
+	return s.ColsFor(nil, done)
+}
+
+// ColsFor is Cols for a reader of the listed column indexes only (all
+// of them when need is nil): the listed columns of the result are
+// decoded, the others may be nil. A fault-in decodes just the missing
+// listed columns, so a scan of one column of an evicted segment
+// allocates that column, not the whole payload.
+func (s *Segment) ColsFor(need []int, done <-chan struct{}) ([]*SegCol, error) {
+	if p := s.pay.Load(); p != nil && p.covers(need) {
 		if sp := s.src.Load(); sp != nil {
 			s.ref.Store(true)
 			sp.c.hits.Add(1)
 		}
-		return *p, nil
+		return p.cols, nil
 	}
 	sp := s.src.Load()
 	if sp == nil {
 		return nil, errors.New("store: segment payload missing and no segment cache to fault from")
 	}
-	return sp.c.fault(s, sp, done)
+	return sp.c.fault(s, sp, need, done)
 }
 
 // MustCols is Cols without a cancellation signal, panicking on fault
@@ -323,10 +367,13 @@ func (s *Segment) MustCols() []*SegCol {
 }
 
 // Resident returns the decoded columns when resident, nil when
-// evicted. It never faults and never counts a cache touch.
+// evicted. It never faults and never counts a cache touch. Columns are
+// complete for a segment that was never evicted (tails, and sealed
+// segments until adoption); after a column-wise fault-in some may be
+// nil.
 func (s *Segment) Resident() []*SegCol {
 	if p := s.pay.Load(); p != nil {
-		return *p
+		return p.cols
 	}
 	return nil
 }
@@ -367,18 +414,117 @@ func (s *SegSet) Bytes() int {
 	return b
 }
 
-// ColVecsBytes is the resident data footprint of the uncompressed
-// columnar layout, accounted identically to SegSet.Bytes — the
-// baseline the compression experiments compare against.
-func ColVecsBytes(cols []*ColVec) int {
+// PlainBytes is the footprint the same rows take plain-encoded (typed
+// slices, string headers and bytes, null bitmaps), accounted like
+// Bytes and fixed at encode time — the uncompressed baseline the
+// compression experiments compare against, known without a fault-in.
+func (s *SegSet) PlainBytes() int {
 	b := 0
-	for _, cv := range cols {
-		b += len(cv.Ints)*8 + len(cv.Floats)*8 + len(cv.Bools) + len(cv.Nulls)*8
-		for _, s := range cv.Strs {
-			b += 16 + len(s)
-		}
+	for _, seg := range s.Segs {
+		b += seg.plain
 	}
 	return b
+}
+
+// ---- readers ----
+
+// forValues calls fn(i, v) for each row i in [lo, hi) of the column,
+// decoding RLE/FOR ints once per call rather than once per cell.
+func (c *SegCol) forValues(lo, hi int, fn func(i int, v Value)) {
+	if c.Kind == KindInt && c.Enc != SegPlain {
+		ints := c.DecodeInts(lo, hi, nil)
+		for i := lo; i < hi; i++ {
+			if c.Nuls.Get(i) {
+				fn(i, Null())
+			} else {
+				fn(i, Int(ints[i-lo]))
+			}
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		fn(i, c.Value(i))
+	}
+}
+
+// walk visits the segments covering rows [lo, hi) in order, faulting
+// in the columns in need (all when nil): fn gets the payload, the
+// segment-local window [off, end) and the segment's first row id.
+func (s *SegSet) walk(lo, hi int, need []int, fn func(cols []*SegCol, off, end, base int)) error {
+	for pos := lo; pos < hi; {
+		si, off := s.Locate(pos)
+		cols, err := s.Segs[si].ColsFor(need, nil)
+		if err != nil {
+			return err
+		}
+		end, base := min(s.Segs[si].N, off+hi-pos), s.Start[si]
+		fn(cols, off, end, base)
+		pos = base + end
+	}
+	return nil
+}
+
+// scanCol calls fn(id, v) for rows [lo, hi) of column ci in row order.
+func (s *SegSet) scanCol(ci, lo, hi int, fn func(id int, v Value)) error {
+	return s.walk(lo, hi, []int{ci}, func(cols []*SegCol, off, end, base int) {
+		cols[ci].forValues(off, end, func(i int, v Value) { fn(base+i, v) })
+	})
+}
+
+// valueAt reads the cell of column ci at row id.
+func (s *SegSet) valueAt(ci, id int) (v Value, err error) {
+	err = s.walk(id, id+1, []int{ci}, func(cols []*SegCol, off, _, _ int) { v = cols[ci].Value(off) })
+	return v, err
+}
+
+// readRows materializes rows [lo, hi) of an ncols-wide layout row-major
+// into one value arena, walking segment-major so each payload is
+// faulted in once however many columns it has.
+func (s *SegSet) readRows(ncols, lo, hi int) ([]Row, error) {
+	rows := make([]Row, hi-lo)
+	arena := make([]Value, (hi-lo)*ncols)
+	for r := range rows {
+		rows[r] = arena[r*ncols : (r+1)*ncols : (r+1)*ncols]
+	}
+	return rows, s.walk(lo, hi, nil, func(cols []*SegCol, off, end, base int) {
+		for ci, c := range cols {
+			c.forValues(off, end, func(i int, v Value) { rows[base+i-lo][ci] = v })
+		}
+	})
+}
+
+// eachSegment materializes the layout's rows one segment at a time, so
+// a rewrite of the whole layout holds one segment of Rows at once.
+func (s *SegSet) eachSegment(ncols int, fn func(rows []Row)) error {
+	for si, seg := range s.Segs {
+		rows, err := s.readRows(ncols, s.Start[si], s.Start[si]+seg.N)
+		if err != nil {
+			return err
+		}
+		fn(rows)
+	}
+	return nil
+}
+
+// zone merges column ci's per-segment zone maps over the layout. The
+// range is NULL when no cell is non-NULL, and NULL (unknown) with
+// non-NULL rows when any segment's range is unknown.
+func (s *SegSet) zone(ci int) ZoneMap {
+	var z ZoneMap
+	for _, seg := range s.Segs {
+		sz := seg.Zones[ci]
+		seen := z.Rows > z.Nulls
+		z.Rows += sz.Rows
+		z.Nulls += sz.Nulls
+		switch {
+		case sz.AllNull():
+		case sz.Min.IsNull():
+			z.Min, z.Max = Null(), Null()
+		default:
+			z.widen(sz.Min, sz.Max, seen)
+		}
+	}
+	return z
 }
 
 // ---- encoders ----
@@ -391,270 +537,309 @@ const (
 	segRLEMinRun   = 8       // average run length that justifies RLE
 )
 
-// buildSegments encodes a frozen row set from scratch: sealed full
-// chunks of segRows rows, then a plain unsealed tail for the rest.
-func buildSegments(meta *schema.Table, rows []Row, segRows int) *SegSet {
-	return composeSegs(meta, rows, nil, 0, segRows)
-}
-
-// composeSegs shares the already-sealed prefix and encodes the rest:
-// full chunks seal (compress), the remainder becomes the plain tail.
-func composeSegs(meta *schema.Table, rows []Row, sealed []*Segment, sealedRows, segRows int) *SegSet {
-	if segRows <= 0 {
-		segRows = DefaultSegmentRows
-	}
-	segs := append([]*Segment(nil), sealed...)
-	pos := sealedRows
-	for len(rows)-pos >= segRows {
-		segs = append(segs, encodeSegment(meta, rows, pos, pos+segRows, true))
-		pos += segRows
-	}
-	if pos < len(rows) {
-		segs = append(segs, encodeSegment(meta, rows, pos, len(rows), false))
-	}
-	ss := &SegSet{Segs: segs, Start: make([]int, len(segs)), N: len(rows)}
-	start := 0
+// newSegSet lays segments out in row order, computing their starts.
+func newSegSet(segs []*Segment) *SegSet {
+	ss := &SegSet{Segs: segs, Start: make([]int, len(segs))}
 	for i, seg := range segs {
-		ss.Start[i] = start
-		start += seg.N
+		ss.Start[i] = ss.N
+		ss.N += seg.N
 	}
 	return ss
 }
 
-// encodeSegment encodes rows [lo, hi) as one segment. Sealed segments
-// pick a compressed encoding per column where it pays; the mutable
-// tail stays plain (it is rebuilt on every publish).
-func encodeSegment(meta *schema.Table, rows []Row, lo, hi int, sealed bool) *Segment {
-	cols := make([]*SegCol, len(meta.Columns))
-	for ci, mc := range meta.Columns {
-		cols[ci] = encodeSegCol(KindOfColType(mc.Type), rows, ci, lo, hi, sealed)
+// appendSegs returns ss extended by rows (validated against meta's
+// column types). Sealed segments are shared by pointer; the tail's
+// typed slices append in place, which is safe for the same reason a
+// row slice append is: writers are serialized per partition and only
+// ever write past the length any published version holds. A tail that
+// reaches segRows seals — its plain columns compress into an immutable
+// segment — and a fresh tail starts. Cost is O(len(rows)) plus one
+// segment header per publish, whatever the tail's length.
+func appendSegs(meta *schema.Table, ss *SegSet, rows []Row, segRows int) *SegSet {
+	if segRows <= 0 {
+		segRows = DefaultSegmentRows
 	}
-	return newSegment(cols, hi-lo, sealed)
+	segs := ss.Segs
+	var tail *Segment
+	if n := len(segs); n > 0 && !segs[n-1].Sealed {
+		tail, segs = segs[n-1], segs[:n-1]
+	}
+	out := make([]*Segment, len(segs), len(segs)+2+len(rows)/segRows)
+	copy(out, segs)
+	for len(rows) > 0 {
+		n := 0
+		if tail != nil {
+			n = tail.N
+		}
+		k := min(segRows-n, len(rows))
+		tail = appendTail(meta, tail, rows[:k])
+		rows = rows[k:]
+		if tail.N == segRows {
+			out = append(out, sealTail(tail))
+			tail = nil
+		}
+	}
+	if tail != nil {
+		out = append(out, tail)
+	}
+	return newSegSet(out)
 }
 
-func encodeSegCol(kind Kind, rows []Row, ci, lo, hi int, sealed bool) *SegCol {
-	n := hi - lo
-	c := &SegCol{Kind: kind, Enc: SegPlain, N: n}
-	c.Zone.Rows = n
-	var nulls Bitmap
-	setNull := func(i int) {
-		if nulls == nil {
-			nulls = NewBitmap(n)
-		}
-		nulls.Set(i)
-		c.Zone.Nulls++
+// appendTail returns a new unsealed tail segment holding the old
+// tail's rows (nil: none) followed by rows. Column structs, zone maps
+// and null bitmaps are fresh per publish — a bitmap's last word would
+// otherwise be shared with readers of the old tail — while the data
+// slices extend in place.
+func appendTail(meta *schema.Table, old *Segment, rows []Row) *Segment {
+	var prev []*SegCol
+	bytes := 0
+	if old != nil {
+		prev, bytes = old.Resident(), old.bytes
 	}
-
-	switch kind {
-	case KindInt:
-		vals := make([]int64, n)
-		var min, max int64
-		runs, seen := 0, false
-		for i := 0; i < n; i++ {
-			v := rows[lo+i][ci]
-			if v.IsNull() {
-				setNull(i)
-				// A null cell breaks a value run (runs carry nullness).
-				runs++
-				continue
-			}
-			x := v.Int64()
-			vals[i] = x
-			if !seen {
-				min, max, seen = x, x, true
-				runs++
-			} else {
-				if x < min {
-					min = x
-				}
-				if x > max {
-					max = x
-				}
-				prevNull := nulls.Get(i - 1)
-				if prevNull || vals[i-1] != x {
-					runs++
-				}
-			}
-		}
-		if seen {
-			c.Zone.Min, c.Zone.Max = Int(min), Int(max)
-		}
-		c.Nuls = nulls
-		if !sealed || !seen {
-			c.Ints = vals
-			return c
-		}
-		if runs*segRLEMinRun <= n {
-			c.Enc = SegRLE
-			c.RunVals = make([]int64, 0, runs)
-			c.RunEnds = make([]int32, 0, runs)
-			for i := 0; i < n; i++ {
-				v := vals[i]
-				if nulls.Get(i) {
-					v = 0
-				}
-				last := len(c.RunVals) - 1
-				if last >= 0 && c.RunVals[last] == v && int(c.RunEnds[last]) == i &&
-					nulls.Get(i) == nulls.Get(i-1) {
-					c.RunEnds[last] = int32(i + 1)
-					continue
-				}
-				c.RunVals = append(c.RunVals, v)
-				c.RunEnds = append(c.RunEnds, int32(i+1))
-			}
-			return c
-		}
-		// Frame-of-reference: two's-complement subtraction gives the
-		// exact unsigned range for any int64 pair.
-		span := uint64(max) - uint64(min)
-		switch {
-		case span < 1<<8:
-			c.Enc, c.Base = SegFOR, min
-			c.D8 = make([]uint8, n)
-			for i, v := range vals {
-				if !nulls.Get(i) {
-					c.D8[i] = uint8(uint64(v) - uint64(min))
-				}
-			}
-		case span < 1<<16:
-			c.Enc, c.Base = SegFOR, min
-			c.D16 = make([]uint16, n)
-			for i, v := range vals {
-				if !nulls.Get(i) {
-					c.D16[i] = uint16(uint64(v) - uint64(min))
-				}
-			}
-		case span < 1<<32:
-			c.Enc, c.Base = SegFOR, min
-			c.D32 = make([]uint32, n)
-			for i, v := range vals {
-				if !nulls.Get(i) {
-					c.D32[i] = uint32(uint64(v) - uint64(min))
-				}
-			}
-		default:
-			c.Ints = vals
-		}
-		return c
-
-	case KindFloat:
-		c.Floats = make([]float64, n)
-		var min, max float64
-		seen, hasNaN := false, false
-		for i := 0; i < n; i++ {
-			v := rows[lo+i][ci]
-			if v.IsNull() {
-				setNull(i)
-				continue
-			}
-			f, _ := v.AsFloat()
-			c.Floats[i] = f
-			if f != f {
-				hasNaN = true
-				continue
-			}
-			if !seen {
-				min, max, seen = f, f, true
-			} else {
-				if f < min {
-					min = f
-				}
-				if f > max {
-					max = f
-				}
-			}
-		}
-		// NaN is unordered: leave the zone range unknown so the skip
-		// rule never drops a segment it cannot reason about.
-		if seen && !hasNaN {
-			c.Zone.Min, c.Zone.Max = Float(min), Float(max)
-		}
-		c.Nuls = nulls
-		return c
-
-	case KindText:
-		strs := make([]string, n)
-		var min, max string
-		seen := false
-		for i := 0; i < n; i++ {
-			v := rows[lo+i][ci]
-			if v.IsNull() {
-				setNull(i)
-				continue
-			}
-			s := v.Str()
-			strs[i] = s
-			if !seen {
-				min, max, seen = s, s, true
-			} else {
-				if s < min {
-					min = s
-				}
-				if s > max {
-					max = s
-				}
-			}
-		}
-		if seen {
-			c.Zone.Min, c.Zone.Max = Text(min), Text(max)
-		}
-		c.Nuls = nulls
-		if !sealed || !seen {
-			c.Strs = strs
-			return c
-		}
-		codes := make([]int32, n)
-		dict := make([]string, 0, 16)
-		byVal := make(map[string]int32, 16)
-		ok := true
-		for i, s := range strs {
-			if nulls.Get(i) {
-				continue
-			}
-			code, found := byVal[s]
-			if !found {
-				if len(dict) >= segDictMaxCard || len(dict) >= (n+1)/2 {
-					ok = false
-					break
-				}
-				code = int32(len(dict))
-				dict = append(dict, s)
-				byVal[s] = code
-			}
-			codes[i] = code
-		}
-		if ok {
-			c.Enc, c.Codes, c.Dict = SegDict, codes, dict
+	cols := make([]*SegCol, len(meta.Columns))
+	block := make([]SegCol, len(meta.Columns)) // one allocation for every column header
+	for ci, mc := range meta.Columns {
+		c := &block[ci]
+		if prev != nil {
+			*c = *prev[ci]
 		} else {
-			c.Strs = strs
+			c.Kind, c.Enc = KindOfColType(mc.Type), SegPlain
 		}
-		return c
+		bytes += c.appendRows(rows, ci)
+		cols[ci] = c
+	}
+	n := len(rows)
+	if old != nil {
+		n += old.N
+	}
+	s := newSegment(cols, n, false, bytes)
+	s.plain = bytes
+	return s
+}
 
+// appendRows appends column ci of rows to a plain column, extending
+// its zone map and null bitmap, and returns the bytes added.
+func (c *SegCol) appendRows(rows []Row, ci int) int {
+	n, m := c.N, c.N+len(rows)
+	nulls := 0
+	for _, r := range rows {
+		if r[ci].IsNull() {
+			nulls++
+		}
+	}
+	oldWords := len(c.Nuls)
+	if nulls > 0 || (c.Nuls != nil && oldWords < (m+63)/64) {
+		nb := NewBitmap(m)
+		copy(nb, c.Nuls)
+		c.Nuls = nb
+		for i, r := range rows {
+			if r[ci].IsNull() {
+				nb.Set(n + i)
+			}
+		}
+	}
+	seen := c.N > c.Zone.Nulls // a non-NULL value precedes the batch
+	c.N, c.Zone.Rows, c.Zone.Nulls = m, m, c.Zone.Nulls+nulls
+	added := (len(c.Nuls) - oldWords) * 8
+
+	// NULL cells store their kind's zero value.
+	switch c.Kind {
+	case KindInt:
+		c.Ints = slices.Grow(c.Ints, len(rows))
+		for _, r := range rows {
+			c.Ints = append(c.Ints, r[ci].Int64())
+		}
+		if lo, hi, ok := span(c.Ints[n:], c.Nuls, n); ok {
+			c.Zone.widen(Int(lo), Int(hi), seen)
+		}
+		return added + len(rows)*8
+	case KindFloat:
+		c.Floats = slices.Grow(c.Floats, len(rows))
+		nan := false
+		for _, r := range rows {
+			f, _ := r[ci].AsFloat() // INT cells widen into FLOAT columns
+			c.Floats = append(c.Floats, f)
+			nan = nan || f != f
+		}
+		if nan {
+			// NaN is unordered: the range becomes unknown for good, so
+			// the skip rule never drops a segment it cannot reason about.
+			c.Zone.Min, c.Zone.Max = Null(), Null()
+		} else if lo, hi, ok := span(c.Floats[n:], c.Nuls, n); ok {
+			c.Zone.widen(Float(lo), Float(hi), seen)
+		}
+		return added + len(rows)*8
+	case KindText:
+		c.Strs = slices.Grow(c.Strs, len(rows))
+		for _, r := range rows {
+			s := r[ci].Str()
+			c.Strs = append(c.Strs, s)
+			added += 16 + len(s)
+		}
+		if lo, hi, ok := span(c.Strs[n:], c.Nuls, n); ok {
+			c.Zone.widen(Text(lo), Text(hi), seen)
+		}
+		return added
 	case KindBool:
-		c.Bools = make([]bool, n)
+		c.Bools = slices.Grow(c.Bools, len(rows))
 		var sawT, sawF bool
-		for i := 0; i < n; i++ {
-			v := rows[lo+i][ci]
-			if v.IsNull() {
-				setNull(i)
-				continue
-			}
-			b := v.BoolVal()
-			c.Bools[i] = b
-			if b {
-				sawT = true
-			} else {
-				sawF = true
-			}
+		for i, r := range rows {
+			b := r[ci].BoolVal()
+			c.Bools = append(c.Bools, b)
+			sawT, sawF = sawT || (b && !c.Nuls.Get(n+i)), sawF || (!b && !c.Nuls.Get(n+i))
 		}
 		if sawT || sawF {
-			c.Zone.Min, c.Zone.Max = Bool(!sawF), Bool(sawT)
+			c.Zone.widen(Bool(!sawF), Bool(sawT), seen)
 		}
-		c.Nuls = nulls
-		return c
+		return added + len(rows)
 	}
-	c.Nuls = nulls
+	return added
+}
+
+// span returns the range of the non-NULL values in vals, whose first
+// element is row base of the column.
+func span[T cmp.Ordered](vals []T, nulls Bitmap, base int) (lo, hi T, ok bool) {
+	for i, v := range vals {
+		switch {
+		case nulls.Get(base + i):
+		case !ok:
+			lo, hi, ok = v, v, true
+		case v < lo:
+			lo = v
+		case v > hi:
+			hi = v
+		}
+	}
+	return lo, hi, ok
+}
+
+// widen folds a batch's non-NULL range [lo, hi] into the zone map.
+// seen reports whether non-NULL values preceded the batch; if so and
+// the range is NULL, a NaN made it unknown and it stays unknown.
+func (z *ZoneMap) widen(lo, hi Value, seen bool) {
+	if !seen {
+		z.Min, z.Max = lo, hi
+		return
+	}
+	if z.Min.IsNull() {
+		return
+	}
+	if Compare(lo, z.Min) < 0 {
+		z.Min = lo
+	}
+	if Compare(hi, z.Max) > 0 {
+		z.Max = hi
+	}
+}
+
+// forDeltas packs vals as unsigned offsets from lo (NULL cells: 0).
+func forDeltas[T uint8 | uint16 | uint32](vals []int64, nulls Bitmap, lo int64) []T {
+	d := make([]T, len(vals))
+	for i, v := range vals {
+		if !nulls.Get(i) {
+			d[i] = T(uint64(v) - uint64(lo))
+		}
+	}
+	return d
+}
+
+// sealTail compresses a full tail into an immutable sealed segment,
+// picking per column the encoding that pays. Its zone maps carry over
+// from the tail, which maintained them row by row.
+func sealTail(tail *Segment) *Segment {
+	plain := tail.Resident()
+	cols := make([]*SegCol, len(plain))
+	for ci, p := range plain {
+		cols[ci] = sealCol(p)
+	}
+	s := newSegment(cols, tail.N, true, -1)
+	s.plain = tail.plain
+	return s
+}
+
+// sealCol encodes one full plain column, compressing int and text
+// columns where it pays. Payloads that stay plain are copied, so the
+// sealed segment never shares the tail's growable backing arrays.
+func sealCol(p *SegCol) *SegCol {
+	c := &SegCol{Kind: p.Kind, Enc: SegPlain, N: p.N, Zone: p.Zone, Nuls: slices.Clone(p.Nuls)}
+	if p.N > p.Zone.Nulls { // some non-NULL value to encode
+		switch {
+		case p.Kind == KindInt && sealInts(c, p.Ints):
+			return c
+		case p.Kind == KindText && sealDict(c, p.Strs):
+			return c
+		}
+	}
+	c.Ints, c.Floats, c.Strs, c.Bools = slices.Clone(p.Ints), slices.Clone(p.Floats), slices.Clone(p.Strs), slices.Clone(p.Bools)
 	return c
+}
+
+// sealInts encodes an int column run-length when runs are long, else
+// frame-of-reference when the range is narrow; false leaves it plain.
+func sealInts(c *SegCol, vals []int64) bool {
+	n, nulls := c.N, c.Nuls
+	// A NULL cell breaks a value run (runs carry nullness).
+	runs := 0
+	for i := range vals {
+		if i == 0 || nulls.Get(i) || nulls.Get(i-1) || vals[i] != vals[i-1] {
+			runs++
+		}
+	}
+	if runs*segRLEMinRun <= n {
+		c.Enc = SegRLE
+		c.RunVals = make([]int64, 0, runs)
+		c.RunEnds = make([]int32, 0, runs)
+		for i, v := range vals {
+			last := len(c.RunVals) - 1
+			if last >= 0 && c.RunVals[last] == v && int(c.RunEnds[last]) == i &&
+				nulls.Get(i) == nulls.Get(i-1) {
+				c.RunEnds[last] = int32(i + 1)
+				continue
+			}
+			c.RunVals = append(c.RunVals, v)
+			c.RunEnds = append(c.RunEnds, int32(i+1))
+		}
+		return true
+	}
+	// Frame-of-reference: two's-complement subtraction gives the exact
+	// unsigned range for any int64 pair.
+	lo := c.Zone.Min.Int64()
+	switch span := uint64(c.Zone.Max.Int64()) - uint64(lo); {
+	case span < 1<<8:
+		c.Enc, c.Base, c.D8 = SegFOR, lo, forDeltas[uint8](vals, nulls, lo)
+	case span < 1<<16:
+		c.Enc, c.Base, c.D16 = SegFOR, lo, forDeltas[uint16](vals, nulls, lo)
+	case span < 1<<32:
+		c.Enc, c.Base, c.D32 = SegFOR, lo, forDeltas[uint32](vals, nulls, lo)
+	default:
+		return false
+	}
+	return true
+}
+
+// sealDict dictionary-encodes a text column whose distinct values
+// repeat enough; false leaves it plain.
+func sealDict(c *SegCol, strs []string) bool {
+	codes := make([]int32, c.N)
+	dict := make([]string, 0, 16)
+	byVal := make(map[string]int32, 16)
+	for i, s := range strs {
+		if c.Nuls.Get(i) {
+			continue
+		}
+		code, found := byVal[s]
+		if !found {
+			if len(dict) >= segDictMaxCard || len(dict) >= (c.N+1)/2 {
+				return false
+			}
+			code = int32(len(dict))
+			dict = append(dict, s)
+			byVal[s] = code
+		}
+		codes[i] = code
+	}
+	c.Enc, c.Codes, c.Dict = SegDict, codes, dict
+	return true
 }
 
 // SegCounters tallies segment scan activity for one execution —

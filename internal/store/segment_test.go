@@ -8,6 +8,12 @@ import (
 	"repro/internal/schema"
 )
 
+// buildSegments encodes a row set from scratch: sealed full chunks of
+// segRows rows, then a plain unsealed tail for the rest.
+func buildSegments(meta *schema.Table, rows []Row, segRows int) *SegSet {
+	return appendSegs(meta, &SegSet{}, rows, segRows)
+}
+
 func segTestTable(t *testing.T) *Table {
 	t.Helper()
 	meta := &schema.Table{
@@ -80,10 +86,10 @@ func TestSegmentIncrementalPublish(t *testing.T) {
 	}
 
 	add(37)
-	prev := tab.Segments() // force the layout so publishes extend it
+	prev := tab.Snap().Segments() // force the layout so publishes extend it
 	for _, k := range []int{1, 62, 1, 250, 99, 3} {
 		add(k)
-		cur := tab.Segments()
+		cur := tab.Snap().Segments()
 		if cur.N != next {
 			t.Fatalf("after +%d: segset covers %d rows, want %d", k, cur.N, next)
 		}
@@ -112,14 +118,23 @@ func TestSegmentIncrementalPublish(t *testing.T) {
 }
 
 // checkSegSet verifies a snapshot's segment layout cell-for-cell
-// against its rows, plus structural invariants: seal boundaries, Start
+// against the rows inserted (segTestRow 0..Len-1, rebuilt here rather
+// than read back), plus structural invariants: seal boundaries, Start
 // offsets, Locate, zone maps, null masks and decoders.
 func checkSegSet(t *testing.T, s *TableSnap, ctx string) {
 	t.Helper()
 	ss := s.Segments()
-	rows := s.Rows()
+	rows := make([]Row, s.Len())
+	for i := range rows {
+		rows[i] = segTestRow(i)
+	}
 	if ss.N != len(rows) {
 		t.Fatalf("%s: segset N=%d, want %d", ctx, ss.N, len(rows))
+	}
+	for i, row := range s.Rows() {
+		if row.String() != rows[i].String() {
+			t.Fatalf("%s: Rows()[%d] = %v, want %v", ctx, i, row, rows[i])
+		}
 	}
 	segRows := s.SegmentRows()
 	start := 0
@@ -359,7 +374,7 @@ func TestSegmentFORBoundaries(t *testing.T) {
 
 // TestSegmentBytesCompresses sanity-checks the compression accounting:
 // a clustered low-cardinality table must be much smaller encoded than
-// as plain column vectors.
+// plain.
 func TestSegmentBytesCompresses(t *testing.T) {
 	tab := segTestTable(t)
 	tab.SetSegmentRows(1024)
@@ -372,8 +387,8 @@ func TestSegmentBytesCompresses(t *testing.T) {
 	}
 	snap := tab.Snap()
 	segBytes := snap.Segments().Bytes()
-	vecBytes := ColVecsBytes(snap.ColVecs())
-	if segBytes*2 > vecBytes {
-		t.Fatalf("segments %d bytes vs colvecs %d bytes: expected ≥2× compression", segBytes, vecBytes)
+	plainBytes := snap.Segments().PlainBytes()
+	if segBytes*2 > plainBytes {
+		t.Fatalf("segments %d bytes vs plain %d bytes: expected ≥2× compression", segBytes, plainBytes)
 	}
 }

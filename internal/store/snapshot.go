@@ -1,6 +1,10 @@
 package store
 
 import (
+	"fmt"
+	"maps"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,19 +16,28 @@ import (
 // writers build the next version copy-on-write under the table's write
 // lock and publish it with one atomic pointer store; readers pin a
 // version (TableSnap, or a whole-database Snapshot) and see it frozen
-// — rows, hash and ordered indexes, statistics and columnar vectors
-// all describe the same instant, with no locks on the read path.
+// — segments, hash and ordered indexes and statistics all describe the
+// same instant, with no locks on the read path.
 //
-// Copy-on-write is chunk-grained, not wholesale:
+// A version's rows are its segment set and nothing else: sealed
+// compressed segments plus one plain tail (segment.go). Copy-on-write
+// is chunk-grained, not wholesale:
 //
-//   - rows append in place: a published []Row is only ever extended
-//     past its length, which readers of the shorter header never see;
+//   - sealed segments are shared by pointer; the tail's typed column
+//     slices append in place — a published slice is only ever extended
+//     past its length, which readers of the shorter header never see —
+//     and a full tail seals at publish;
 //   - hash indexes clone the outer map (shallow) and copy only the
 //     per-key id slices the new rows touch;
-//   - ordered indexes merge the sorted new ids with the old run in
-//     O(n+k) instead of re-sorting;
-//   - statistics and column vectors carry over incrementally when the
-//     previous version had them built (see extendStats, extendCols).
+//   - ordered indexes merge the sorted new ids into the old run,
+//     locating each by binary search instead of re-sorting;
+//   - statistics carry over incrementally when the previous version had
+//     them computed (see extendStats).
+//
+// Everything that reads cell values — index builds, range lookups,
+// statistics, row materialization — reads them back out of the
+// segments, faulting spilled payloads in through the segment cache and
+// returning the fault's error rather than panicking.
 //
 // Writers to one table serialize on wmu; writers to different tables
 // are independent. Version numbers are per table and bump only on row
@@ -32,38 +45,35 @@ import (
 // version, so caches keyed on versions stay valid.
 
 // tableData is one immutable version of a table's contents. Everything
-// reachable from it is frozen at publish time except the lazy caches,
-// which are guarded and only ever move from empty to built.
+// reachable from it is frozen at publish time except the statistics
+// cache, which is guarded and only ever moves from empty to computed.
 type tableData struct {
-	rows    []Row
+	segs    *SegSet                     // the rows: sealed segments, then at most one plain tail
 	hash    map[string]map[string][]int // column -> value key -> row ids
 	ord     map[string][]int            // column -> row ids sorted by value
 	version uint64
 	segRows int // seal boundary for the segment layout (0 = default)
-	caches  *dataCaches
+	stats   *statsCache
 }
 
-// dataCaches holds the lazily-built derivatives of one data version:
-// per-column statistics and the columnar layout. Index-only republishes
-// share the caches of the version they mirror (same rows, same stats,
-// same vectors); row mutations allocate a fresh one, pre-seeded
-// incrementally where possible.
-type dataCaches struct {
-	statsMu sync.Mutex
-	stats   map[string]ColStats
+// statsCache holds the lazily computed per-column statistics of one
+// data version. Index-only republishes share the cache of the version
+// they mirror (same rows, same stats); row mutations allocate a fresh
+// one, pre-seeded incrementally where possible.
+type statsCache struct {
+	mu sync.Mutex
+	m  map[string]ColStats
+}
 
-	colsMu sync.Mutex
-	cols   []*ColVec // nil until built
-
-	segsMu sync.Mutex
-	segs   *SegSet // nil until built
+func emptyData(segRows int) *tableData {
+	return &tableData{segs: &SegSet{}, segRows: segRows, stats: &statsCache{}}
 }
 
 // TableSnap is a pinned, immutable view of one table version. All read
 // accessors of Table exist here too; a query that resolves its tables
-// once through a Snapshot sees rows, indexes, stats and column vectors
-// that are mutually consistent for its whole plan, regardless of
-// concurrent writers.
+// once through a Snapshot sees segments, indexes and stats that are
+// mutually consistent for its whole plan, regardless of concurrent
+// writers.
 //
 // For a partitioned table the pinned state is a whole partSet — one
 // immutable version per partition, captured by a single atomic load,
@@ -146,28 +156,42 @@ func (s *TableSnap) ColIndex(name string) int {
 // Len returns the row count.
 func (s *TableSnap) Len() int {
 	if s.d != nil {
-		return len(s.d.rows)
+		return s.d.segs.N
 	}
 	return s.ps.totalRows()
 }
 
-// Rows returns the snapshot's rows (canonical order: partitions
-// concatenated). Callers must not mutate them.
-func (s *TableSnap) Rows() []Row {
-	if s.d != nil {
-		return s.d.rows
+// ReadRows materializes rows [lo, hi) of the snapshot (canonical order:
+// partitions concatenated) out of its segments, faulting spilled
+// payloads back in. It is the one row reader: Rows, Row and the
+// reference oracle all go through it, and a payload that cannot be
+// faulted in is its error, never a panic.
+func (s *TableSnap) ReadRows(lo, hi int) ([]Row, error) {
+	if lo < 0 || hi > s.Len() || lo > hi {
+		return nil, fmt.Errorf("store: table %s: rows [%d, %d) out of range [0, %d)", s.Meta.Name, lo, hi, s.Len())
 	}
-	return s.ps.mergedRows()
+	return s.Segments().readRows(len(s.Meta.Columns), lo, hi)
 }
 
-// Row returns row i.
-func (s *TableSnap) Row(i int) Row {
-	if s.d != nil {
-		return s.d.rows[i]
+// Rows materializes every row of the snapshot, panicking when a
+// spilled payload cannot be faulted in — the MustCols of rows, for
+// tests, benchmarks and tools over known-readable data. Each call
+// builds a fresh copy; callers may keep it.
+func (s *TableSnap) Rows() []Row {
+	rows, err := s.ReadRows(0, s.Len())
+	if err != nil {
+		panic(err)
 	}
-	ps := s.ps
-	p := sort.Search(len(ps.datas), func(p int) bool { return ps.cum[p+1] > i })
-	return ps.datas[p].rows[i-ps.cum[p]]
+	return rows
+}
+
+// Row materializes row i, panicking like Rows on a fault failure.
+func (s *TableSnap) Row(i int) Row {
+	rows, err := s.ReadRows(i, i+1)
+	if err != nil {
+		panic(err)
+	}
+	return rows[0]
 }
 
 // HasIndex reports whether the column has a hash index. Index DDL is
@@ -220,53 +244,60 @@ func (s *TableSnap) HasOrderedIndex(col string) bool {
 // LookupRange returns the ids of rows whose column value lies between
 // lo and hi (either bound may be nil for unbounded), honoring bound
 // inclusivity, in ascending value order. NULL cells never match. The
-// second result is false when the column has no ordered index. On a
-// merged view the per-partition runs merge by (value, global id), so
-// the result is ascending by value with deterministic tie order.
-func (s *TableSnap) LookupRange(col string, lo, hi *Value, loIncl, hiIncl bool) ([]int, bool) {
-	if s.d == nil {
-		if _, ok := s.data0().ord[col]; !ok {
-			return nil, false
-		}
-		ci := s.colIdx[col]
-		runs := make([][]int, 0, len(s.ps.datas))
-		total := 0
-		for p := range s.ps.datas {
-			ids, _ := s.Part(p).LookupRange(col, lo, hi, loIncl, hiIncl)
-			runs = append(runs, ids)
-			total += len(ids)
-		}
-		if total == 0 {
-			return nil, true
-		}
-		out := make([]int, 0, total)
-		heads := make([]int, len(runs))
-		for len(out) < total {
-			best := -1
-			var bestV Value
-			bestID := 0
-			for p, run := range runs {
-				if heads[p] >= len(run) {
-					continue
-				}
-				id := s.ps.cum[p] + run[heads[p]]
-				v := s.ps.datas[p].rows[run[heads[p]]][ci]
-				if best < 0 || Compare(v, bestV) < 0 || (Compare(v, bestV) == 0 && id < bestID) {
-					best, bestV, bestID = p, v, id
-				}
-			}
-			out = append(out, bestID)
-			heads[best]++
-		}
-		return out, true
-	}
-	ids, ok := s.d.ord[col]
-	if !ok {
-		return nil, false
+// second result is false when the column has no ordered index. The
+// binary searches read the probed cells out of the segments, so the
+// error is a failed fault-in. On a merged view the per-partition runs
+// merge by (value, global id), so the result is ascending by value
+// with deterministic tie order.
+func (s *TableSnap) LookupRange(col string, lo, hi *Value, loIncl, hiIncl bool) ([]int, bool, error) {
+	if _, ok := s.data0().ord[col]; !ok {
+		return nil, false, nil
 	}
 	ci := s.colIdx[col]
-	rows := s.d.rows
-	val := func(i int) Value { return rows[ids[i]][ci] }
+	if s.d != nil {
+		ids, err := s.d.lookupRange(col, ci, lo, hi, loIncl, hiIncl)
+		return ids, true, err
+	}
+	type hit struct {
+		v  Value
+		id int
+	}
+	var hits []hit
+	for p, d := range s.ps.datas {
+		ids, err := d.lookupRange(col, ci, lo, hi, loIncl, hiIncl)
+		if err != nil {
+			return nil, true, err
+		}
+		for _, id := range ids {
+			v, err := d.segs.valueAt(ci, id)
+			if err != nil {
+				return nil, true, err
+			}
+			hits = append(hits, hit{v, s.ps.cum[p] + id})
+		}
+	}
+	sort.Slice(hits, func(a, b int) bool {
+		c := Compare(hits[a].v, hits[b].v)
+		return c < 0 || (c == 0 && hits[a].id < hits[b].id)
+	})
+	var out []int
+	for _, h := range hits {
+		out = append(out, h.id)
+	}
+	return out, true, nil
+}
+
+// lookupRange is LookupRange over one partition's ordered index.
+func (d *tableData) lookupRange(col string, ci int, lo, hi *Value, loIncl, hiIncl bool) ([]int, error) {
+	ids := d.ord[col]
+	var err error
+	val := func(i int) Value {
+		v, e := d.segs.valueAt(ci, ids[i])
+		if e != nil && err == nil {
+			err = e
+		}
+		return v
+	}
 
 	// Start: skip NULLs (which sort first), then apply the low bound.
 	start := sort.Search(len(ids), func(i int) bool { return !val(i).IsNull() })
@@ -297,10 +328,13 @@ func (s *TableSnap) LookupRange(col string, lo, hi *Value, loIncl, hiIncl bool) 
 			return c >= 0
 		})
 	}
-	if start >= end {
-		return nil, true
+	if err != nil {
+		return nil, err
 	}
-	return ids[start:end], true
+	if start >= end {
+		return nil, nil
+	}
+	return ids[start:end], nil
 }
 
 // Stats returns the (lazily computed, cached) statistics for the named
@@ -308,7 +342,7 @@ func (s *TableSnap) LookupRange(col string, lo, hi *Value, loIncl, hiIncl bool) 
 // does not exist. The cache lives on the pinned version, so a snapshot's
 // stats always describe exactly its rows — writers never invalidate
 // them, they publish new versions with their own caches (seeded
-// incrementally when the previous version had stats built).
+// incrementally when the previous version had stats computed).
 func (s *TableSnap) Stats(col string) (ColStats, bool) {
 	ci := s.ColIndex(col)
 	if ci < 0 {
@@ -317,17 +351,24 @@ func (s *TableSnap) Stats(col string) (ColStats, bool) {
 	if s.d == nil {
 		return s.mergedStats(col), true
 	}
-	c := s.d.caches
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	if st, ok := c.stats[col]; ok {
+	c := s.d.stats
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st, ok := c.m[col]; ok {
 		return st, true
 	}
-	st := computeStats(s.d.rows, ci)
-	if c.stats == nil {
-		c.stats = make(map[string]ColStats, len(s.Meta.Columns))
+	st, err := computeStats(s.d.segs, ci)
+	if err != nil {
+		// A payload that cannot be faulted in leaves the planner the
+		// resident zone maps' summary (distinct bounded by the non-NULL
+		// count), uncached so a later call can compute exact statistics.
+		z := s.d.segs.zone(ci)
+		return ColStats{Rows: z.Rows, Nulls: z.Nulls, Distinct: z.Rows - z.Nulls, Min: z.Min, Max: z.Max}, true
 	}
-	c.stats[col] = st
+	if c.m == nil {
+		c.m = make(map[string]ColStats, len(s.Meta.Columns))
+	}
+	c.m[col] = st
 	return st, true
 }
 
@@ -366,61 +407,35 @@ func (s *TableSnap) mergedStats(col string) ColStats {
 	return st
 }
 
-// ColVecs returns the snapshot's columnar layout: one typed vector per
-// schema column, built lazily and cached on the pinned version.
-// Concurrent readers of one snapshot share a single build; writers
-// extend a built layout copy-on-write instead of invalidating it.
-func (s *TableSnap) ColVecs() []*ColVec {
-	if s.d == nil {
-		m := s.ps.merged
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if m.cols == nil {
-			m.cols = buildColVecs(s.Meta, s.ps.mergedRowsLocked())
-		}
-		return m.cols
+// Zone merges the named column's per-segment zone maps over the view:
+// row and NULL counts plus the value range (NULL when every cell is
+// NULL, or unknown because a NaN is present). It reads only resident
+// metadata, so pruning decisions built on it never fault a segment in.
+// The second result is false when the column does not exist.
+func (s *TableSnap) Zone(col string) (ZoneMap, bool) {
+	ci := s.ColIndex(col)
+	if ci < 0 {
+		return ZoneMap{}, false
 	}
-	c := s.d.caches
-	c.colsMu.Lock()
-	defer c.colsMu.Unlock()
-	if c.cols == nil {
-		c.cols = buildColVecs(s.Meta, s.d.rows)
-	}
-	return c.cols
+	return s.Segments().zone(ci), true
 }
 
 // Segments returns the snapshot's segment layout: sealed compressed
 // segments covering full chunks of the row set plus at most one plain
-// mutable tail, built lazily and cached on the pinned version. Writers
-// extend a built layout by sharing the sealed prefix by pointer and
-// re-encoding only the tail (see extendSegs).
+// tail, built as rows were published.
 func (s *TableSnap) Segments() *SegSet {
 	if s.d == nil {
 		return s.mergedSegments()
 	}
-	ss := partSegments(s.Meta, s.d)
 	// Under a spill-enabled store, hand any not-yet-adopted sealed
 	// segments to the segment cache (write-once serialization + byte
-	// budget). Adoption is idempotent per segment, so covering both the
-	// fresh-build and extendSegs paths here — the one funnel every
-	// reader passes through — keeps the write path untouched.
+	// budget). Adoption is idempotent per segment, so doing it here —
+	// the one funnel every reader passes through — keeps the write path
+	// free of disk I/O.
 	if s.spill != nil {
-		s.spill.adopt(ss)
+		s.spill.adopt(s.d.segs)
 	}
-	return ss
-}
-
-// partSegments builds (or returns) one tableData's segment layout under
-// its own cache lock — the per-partition unit both the single-partition
-// fast path and the merged view compose from.
-func partSegments(meta *schema.Table, d *tableData) *SegSet {
-	c := d.caches
-	c.segsMu.Lock()
-	defer c.segsMu.Unlock()
-	if c.segs == nil {
-		c.segs = buildSegments(meta, d.rows, d.segRows)
-	}
-	return c.segs
+	return s.d.segs
 }
 
 // mergedSegments concatenates the per-partition segment layouts in
@@ -434,16 +449,10 @@ func (s *TableSnap) mergedSegments() *SegSet {
 	m.mu.Lock()
 	if m.segs == nil {
 		var segs []*Segment
-		var starts []int
-		for p, d := range s.ps.datas {
-			pss := partSegments(s.Meta, d)
-			base := s.ps.cum[p]
-			for si, seg := range pss.Segs {
-				segs = append(segs, seg)
-				starts = append(starts, base+pss.Start[si])
-			}
+		for _, d := range s.ps.datas {
+			segs = append(segs, d.segs.Segs...)
 		}
-		m.segs = &SegSet{Segs: segs, Start: starts, N: s.ps.totalRows()}
+		m.segs = newSegSet(segs)
 	}
 	ss := m.segs
 	m.mu.Unlock()
@@ -506,34 +515,48 @@ func (s *Snapshot) TableVersion(name string) uint64 {
 
 // ---- write path ----
 
-// publishRows appends staged (already validated and coerced) rows as
-// the table's next version. On a partitioned table the batch routes
-// per partition first, then each per-partition chunk publishes
-// independently under that partition's writer lock — concurrent
-// loaders overlap on disjoint partitions and pipeline across shared
-// ones (the starting partition rotates per batch to break convoys).
-// Each chunk is atomic: a reader's snapshot sees all of a partition's
-// chunk or none of it. A racing repartition invalidates the routing;
-// unpublished chunks re-route under the new layout and continue.
-func (t *Table) publishRows(staged []Row) {
-	pending := staged
+// publishRows appends validated rows as the table's next version. On a
+// partitioned table the batch routes per partition first, then each
+// per-partition chunk publishes independently under that partition's
+// writer lock — concurrent loaders overlap on disjoint partitions and
+// pipeline across shared ones (the starting partition rotates per
+// batch to break convoys). Each chunk is atomic: a reader's snapshot
+// sees all of a partition's chunk or none of it. A racing repartition
+// invalidates the routing; unpublished chunks re-route under the new
+// layout and continue.
+func (t *Table) publishRows(rows []Row) error {
+	pending := rows
 	for len(pending) > 0 {
 		ps := t.pset.Load()
 		layout := ps.layout
 		n := len(layout.locks)
 		if n == 1 {
-			if t.publishPart(layout, 0, pending) {
-				return
+			if ok, err := t.publishPart(layout, 0, pending); ok || err != nil {
+				return err
 			}
 			continue
 		}
-		parts := make([][]Row, n)
+		// Route once, count, then fill exactly-sized per-partition
+		// slices: allocations stay constant in the batch size.
 		ci := layout.scheme.Ci
+		kind := KindOfColType(t.Meta.Columns[ci].Type)
+		routes := make([]int32, len(pending))
+		counts := make([]int, n)
 		var buf []byte
 		var p int
-		for _, row := range pending {
-			p, buf = layout.scheme.routeKey(row[ci], buf)
-			parts[p] = append(parts[p], row)
+		for i, row := range pending {
+			p, buf = layout.scheme.routeKey(widen(row[ci], kind), buf)
+			routes[i] = int32(p)
+			counts[p]++
+		}
+		parts := make([][]Row, n)
+		for p, c := range counts {
+			if c > 0 {
+				parts[p] = make([]Row, 0, c)
+			}
+		}
+		for i, row := range pending {
+			parts[routes[i]] = append(parts[routes[i]], row)
 		}
 		start := int(t.ticket.Add(1) % uint64(n))
 		var leftover []Row
@@ -542,33 +565,52 @@ func (t *Table) publishRows(staged []Row) {
 			if len(parts[p]) == 0 {
 				continue
 			}
-			if leftover != nil || !t.publishPart(layout, p, parts[p]) {
-				leftover = append(leftover, parts[p]...)
+			if leftover == nil {
+				ok, err := t.publishPart(layout, p, parts[p])
+				if err != nil {
+					return err
+				}
+				if ok {
+					continue
+				}
 			}
+			leftover = append(leftover, parts[p]...)
 		}
 		pending = leftover
 	}
+	return nil
 }
 
-// publishPart publishes staged rows into partition p of the given
-// layout. It returns false without publishing when the table was
-// repartitioned since the caller routed (layout identity changed) —
-// the rows would land in the wrong stream. Lock order is always
-// partition lock first, pubMu last: the copy-on-write work happens
-// under the partition lock alone, pubMu is held only to swap the
-// partSet pointer.
-func (t *Table) publishPart(layout *partLayout, p int, staged []Row) bool {
+// widen returns a cell as its column stores it: INT values in FLOAT
+// columns widen to FLOAT.
+func widen(v Value, kind Kind) Value {
+	if kind == KindFloat && v.Kind() == KindInt {
+		return Float(float64(v.Int64()))
+	}
+	return v
+}
+
+// publishPart publishes rows into partition p of the given layout. It
+// returns false without publishing when the table was repartitioned
+// since the caller routed (layout identity changed) — the rows would
+// land in the wrong stream. Lock order is always partition lock first,
+// pubMu last: the copy-on-write work happens under the partition lock
+// alone, pubMu is held only to swap the partSet pointer.
+func (t *Table) publishPart(layout *partLayout, p int, rows []Row) (bool, error) {
 	mu := &layout.locks[p]
 	mu.Lock()
 	defer mu.Unlock()
 	ps := t.pset.Load()
 	if ps.layout != layout {
-		return false
+		return false, nil
 	}
 	// Holding locks[p] pins the layout (a repartition needs every
 	// partition lock) and freezes datas[p]; other partitions may
 	// publish concurrently, so reload the latest set under pubMu.
-	next := buildNext(t.Meta, t.colIdx, ps.datas[p], staged)
+	next, err := buildNext(t.Meta, t.colIdx, ps.datas[p], rows)
+	if err != nil {
+		return false, err
+	}
 	t.pubMu.Lock()
 	cur := t.pset.Load()
 	datas := make([]*tableData, len(cur.datas))
@@ -576,24 +618,27 @@ func (t *Table) publishPart(layout *partLayout, p int, staged []Row) bool {
 	datas[p] = next
 	t.pset.Store(newPartSet(layout, datas, cur.version+1))
 	t.pubMu.Unlock()
-	return true
+	return true, nil
 }
 
-// buildNext appends staged rows to one partition stream copy-on-write:
-// indexes are maintained incrementally, statistics and column vectors
-// carry over from the previous version when built there. Row ids are
-// partition-local.
-func buildNext(meta *schema.Table, colIdx map[string]int, cur *tableData, staged []Row) *tableData {
-	base := len(cur.rows)
+// buildNext appends rows to one partition stream copy-on-write: the
+// segment set extends (sealing full tails), indexes are maintained
+// incrementally, statistics carry over from the previous version when
+// computed there. Row ids are partition-local. Index and statistics
+// maintenance read the new cells back from the new segments, so they
+// see exactly the stored (widened) values.
+func buildNext(meta *schema.Table, colIdx map[string]int, cur *tableData, rows []Row) (*tableData, error) {
+	base := cur.segs.N
 	next := &tableData{
-		// Appending in place is safe: readers pinned to cur hold a
-		// shorter slice header and never look past it, and writers are
-		// serialized per partition, so each backing array position is
-		// written once.
-		rows:    append(cur.rows, staged...),
+		segs:    appendSegs(meta, cur.segs, rows, cur.segRows),
 		version: cur.version + 1,
 		ord:     cur.ord,
 		segRows: cur.segRows,
+	}
+	newVals := func(ci int) ([]Value, error) {
+		vals := make([]Value, 0, len(rows))
+		err := next.segs.scanCol(ci, base, next.segs.N, func(_ int, v Value) { vals = append(vals, v) })
+		return vals, err
 	}
 
 	// Hash indexes: shallow-clone the outer map, copy-and-extend only
@@ -601,121 +646,113 @@ func buildNext(meta *schema.Table, colIdx map[string]int, cur *tableData, staged
 	if len(cur.hash) > 0 {
 		next.hash = make(map[string]map[string][]int, len(cur.hash))
 		for col, idx := range cur.hash {
-			ci := colIdx[col]
+			vals, err := newVals(colIdx[col])
+			if err != nil {
+				return nil, err
+			}
 			add := make(map[string][]int)
-			for i, row := range staged {
-				k := row[ci].Key()
+			for i, v := range vals {
+				k := v.Key()
 				add[k] = append(add[k], base+i)
 			}
-			nidx := make(map[string][]int, len(idx)+len(add))
-			for k, ids := range idx {
-				nidx[k] = ids
-			}
+			nidx := maps.Clone(idx)
 			for k, ids := range add {
-				old := nidx[k]
-				merged := make([]int, 0, len(old)+len(ids))
-				merged = append(append(merged, old...), ids...)
-				nidx[k] = merged
+				nidx[k] = slices.Concat(nidx[k], ids) // a fresh slice: readers of idx keep theirs
 			}
 			next.hash[col] = nidx
 		}
 	}
 
-	// Ordered indexes: sort only the new ids, then merge with the old
-	// sorted run — O(n+k) per index instead of an O(n log n) rebuild.
+	// Ordered indexes: sort only the new ids, then merge them into the
+	// old sorted run.
 	if len(cur.ord) > 0 {
 		next.ord = make(map[string][]int, len(cur.ord))
 		for col, ids := range cur.ord {
 			ci := colIdx[col]
-			newIDs := make([]int, len(staged))
-			for i := range newIDs {
-				newIDs[i] = base + i
+			vals, err := newVals(ci)
+			if err != nil {
+				return nil, err
 			}
-			rows := next.rows
-			sort.SliceStable(newIDs, func(a, b int) bool {
-				return Compare(rows[newIDs[a]][ci], rows[newIDs[b]][ci]) < 0
-			})
-			next.ord[col] = mergeOrdered(rows, ci, ids, newIDs)
+			if next.ord[col], err = mergeOrdered(next.segs, ci, ids, base, vals); err != nil {
+				return nil, err
+			}
 		}
 	}
 
-	next.caches = &dataCaches{
-		stats: extendStats(colIdx, cur, next, staged),
-		cols:  extendCols(meta, cur, staged),
-		segs:  extendSegs(meta, cur, next),
+	stats, err := extendStats(colIdx, cur, next, len(rows), newVals)
+	if err != nil {
+		return nil, err
 	}
-	return next
+	next.stats = &statsCache{m: stats}
+	return next, nil
 }
 
-// extendSegs extends the previous version's segment layout, when built:
-// sealed segments are immutable and rows only ever append, so the next
-// version shares them by pointer and re-encodes just the region past
-// the last seal — sealing any full chunks the append completed and
-// rebuilding the plain tail. Publish cost is O(tail + new), independent
-// of table size.
-func extendSegs(meta *schema.Table, cur, next *tableData) *SegSet {
-	cur.caches.segsMu.Lock()
-	prev := cur.caches.segs
-	cur.caches.segsMu.Unlock()
-	if prev == nil {
-		return nil
+// mergeOrdered merges the new rows [base, base+len(vals)) into the old
+// run of ids sorted by column value. Each new id finds its place by
+// binary search over the old run's values, read from the segments —
+// O(n) copying plus O(k log n) cell reads, so a small publish never
+// decodes the whole column; when k log n would exceed a full read the
+// run is rebuilt by sorting instead. Ties keep old ids first, matching
+// what a stable re-sort over ascending ids would produce.
+func mergeOrdered(ss *SegSet, ci int, old []int, base int, vals []Value) ([]int, error) {
+	if len(vals)*bits.Len(uint(len(old))) > len(old)+len(vals) {
+		return sortedIDs(ss, ci)
 	}
-	sealed := prev.Segs
-	if n := len(sealed); n > 0 && !sealed[n-1].Sealed {
-		sealed = sealed[:n-1]
+	order := make([]int, len(vals))
+	for i := range order {
+		order[i] = i
 	}
-	sealedRows := 0
-	for _, seg := range sealed {
-		sealedRows += seg.N
-	}
-	return composeSegs(meta, next.rows, sealed, sealedRows, next.segRows)
-}
-
-// mergeOrdered merges two id runs already sorted by column value into
-// a fresh sorted run. Ties keep old ids first, matching what a stable
-// re-sort over ascending ids would produce.
-func mergeOrdered(rows []Row, ci int, old, add []int) []int {
-	out := make([]int, 0, len(old)+len(add))
-	i, j := 0, 0
-	for i < len(old) && j < len(add) {
-		if Compare(rows[old[i]][ci], rows[add[j]][ci]) <= 0 {
-			out = append(out, old[i])
-			i++
-		} else {
-			out = append(out, add[j])
-			j++
+	sort.SliceStable(order, func(a, b int) bool { return Compare(vals[order[a]], vals[order[b]]) < 0 })
+	out := make([]int, 0, len(old)+len(vals))
+	var err error
+	i := 0
+	for _, k := range order {
+		v := vals[k]
+		j := i + sort.Search(len(old)-i, func(x int) bool {
+			ov, e := ss.valueAt(ci, old[i+x])
+			if e != nil && err == nil {
+				err = e
+			}
+			return Compare(ov, v) > 0
+		})
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, old[i:j]...)
+		out = append(out, base+k)
+		i = j
 	}
-	out = append(out, old[i:]...)
-	return append(out, add[j:]...)
+	return append(out, old[i:]...), nil
 }
 
 // extendStats seeds the next version's stats cache from the previous
 // version's computed entries. Row, NULL and min/max summaries extend
-// exactly from the new rows alone; the distinct count is carried only
+// exactly from the new cells alone; the distinct count is carried only
 // when the column has a hash index on the next version (its key count
 // is the exact distinct count, minus the NULL key when present) —
 // otherwise the entry is dropped and recomputed lazily on demand.
-func extendStats(colIdx map[string]int, cur, next *tableData, staged []Row) map[string]ColStats {
-	cur.caches.statsMu.Lock()
-	prev := cur.caches.stats
+func extendStats(colIdx map[string]int, cur, next *tableData, added int, newVals func(int) ([]Value, error)) (map[string]ColStats, error) {
+	cur.stats.mu.Lock()
 	var seed map[string]ColStats
-	if len(prev) > 0 {
-		seed = make(map[string]ColStats, len(prev))
-		for col, st := range prev {
+	if len(cur.stats.m) > 0 {
+		seed = make(map[string]ColStats, len(cur.stats.m))
+		for col, st := range cur.stats.m {
 			seed[col] = st
 		}
 	}
-	cur.caches.statsMu.Unlock()
-	if seed == nil {
-		return nil
-	}
-	out := make(map[string]ColStats, len(seed))
+	cur.stats.mu.Unlock()
+	var out map[string]ColStats
 	for col, st := range seed {
-		ci := colIdx[col]
-		st.Rows += len(staged)
-		for _, row := range staged {
-			v := row[ci]
+		idx, ok := next.hash[col]
+		if !ok {
+			continue // distinct not derivable incrementally; recompute lazily
+		}
+		vals, err := newVals(colIdx[col])
+		if err != nil {
+			return nil, err
+		}
+		st.Rows += added
+		for _, v := range vals {
 			if v.IsNull() {
 				st.Nulls++
 				continue
@@ -727,87 +764,46 @@ func extendStats(colIdx map[string]int, cur, next *tableData, staged []Row) map[
 				st.Max = v
 			}
 		}
-		idx, ok := next.hash[col]
-		if !ok {
-			continue // distinct not derivable incrementally; recompute lazily
-		}
 		st.Distinct = len(idx)
 		if st.Nulls > 0 {
 			st.Distinct-- // the NULL key's entry
 		}
+		if out == nil {
+			out = make(map[string]ColStats, len(seed))
+		}
 		out[col] = st
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// extendCols extends the previous version's columnar layout with the
-// staged rows, when that layout was built. Data slices append in place
-// (safe for the same reason rows do); null bitmaps are copied — their
-// last word is shared otherwise — and regrown to cover the new length.
-func extendCols(meta *schema.Table, cur *tableData, staged []Row) []*ColVec {
-	cur.caches.colsMu.Lock()
-	cols := cur.caches.cols
-	cur.caches.colsMu.Unlock()
-	if cols == nil {
-		return nil
-	}
-	n := len(cur.rows)
-	m := n + len(staged)
-	out := make([]*ColVec, len(cols))
-	for ci, cv := range cols {
-		ncv := &ColVec{Kind: cv.Kind, Ints: cv.Ints, Floats: cv.Floats, Strs: cv.Strs, Bools: cv.Bools}
-		anyNull := cv.Nulls != nil
-		for _, row := range staged {
-			if row[ci].IsNull() {
-				anyNull = true
-				break
-			}
-		}
-		if anyNull {
-			nb := NewBitmap(m)
-			copy(nb, cv.Nulls)
-			ncv.Nulls = nb
-		}
-		for i, row := range staged {
-			v := row[ci]
-			if v.IsNull() {
-				ncv.Nulls.Set(n + i)
-				ncv.appendZero()
-				continue
-			}
-			ncv.appendValue(v)
-		}
-		out[ci] = ncv
-	}
-	return out
+	return out, nil
 }
 
 // publishIndex republishes the current data with mutate applied to
 // every partition's hash/ordered index maps, under all partition locks
 // (index DDL is table-wide — each partition rebuilds over its own
 // local row ids). The data version does not move (rows are unchanged)
-// and the lazy caches are shared with the previous publication.
-func (t *Table) publishIndex(mutate func(cur *tableData, next *tableData)) {
+// and the statistics cache is shared with the previous publication. A
+// mutate error (a failed fault-in while reading cells) publishes
+// nothing.
+func (t *Table) publishIndex(mutate func(cur *tableData, next *tableData) error) error {
 	layout := t.lockAll()
 	defer unlockAll(layout)
 	ps := t.pset.Load()
 	datas := make([]*tableData, len(ps.datas))
 	for i, cur := range ps.datas {
 		next := &tableData{
-			rows:    cur.rows,
+			segs:    cur.segs,
 			hash:    cur.hash,
 			ord:     cur.ord,
 			version: cur.version,
 			segRows: cur.segRows,
-			caches:  cur.caches,
+			stats:   cur.stats,
 		}
-		mutate(cur, next)
+		if err := mutate(cur, next); err != nil {
+			return err
+		}
 		datas[i] = next
 	}
 	t.pubMu.Lock()
 	t.pset.Store(newPartSet(layout, datas, ps.version))
 	t.pubMu.Unlock()
+	return nil
 }

@@ -33,7 +33,7 @@ func randRow(r *rand.Rand, i int) Row {
 }
 
 // verifySnapConsistent asserts that everything reachable from one
-// pinned snapshot — column vectors, statistics, ordered-index range
+// pinned snapshot — segments, statistics, ordered-index range
 // scans, hash-index probes — agrees with the snapshot's own row data.
 // This is the snapshot-semantics property the planner and both
 // executors rely on: all access paths of a pinned version describe the
@@ -45,18 +45,9 @@ func verifySnapConsistent(t *testing.T, snap *TableSnap) {
 		t.Fatalf("Len %d != len(Rows) %d", snap.Len(), len(rows))
 	}
 
-	// Column vectors mirror the row data cell for cell.
-	cols := snap.ColVecs()
-	for ci := range snap.Meta.Columns {
-		cv := cols[ci]
-		if cv.Len() != len(rows) {
-			t.Fatalf("col %d: vector len %d != %d rows", ci, cv.Len(), len(rows))
-		}
-		for i, row := range rows {
-			if Compare(cv.Value(i), row[ci]) != 0 {
-				t.Fatalf("col %d row %d: vector %v != row %v", ci, i, cv.Value(i), row[ci])
-			}
-		}
+	// The segments cover exactly the rows.
+	if n := snap.Segments().N; n != len(rows) {
+		t.Fatalf("segments cover %d rows, snapshot has %d", n, len(rows))
 	}
 
 	// Stats agree with a direct scan of the snapshot's rows.
@@ -65,7 +56,7 @@ func verifySnapConsistent(t *testing.T, snap *TableSnap) {
 		if !ok {
 			t.Fatalf("no stats for %s", mc.Name)
 		}
-		want := computeStats(rows, ci)
+		want := rowStats(rows, ci)
 		if st.Rows != want.Rows || st.Nulls != want.Nulls || st.Distinct != want.Distinct ||
 			Compare(st.Min, want.Min) != 0 || Compare(st.Max, want.Max) != 0 {
 			t.Fatalf("stats for %s: got %+v want %+v", mc.Name, st, want)
@@ -82,7 +73,7 @@ func verifySnapConsistent(t *testing.T, snap *TableSnap) {
 			continue
 		}
 		lo, hi := st.Min, st.Max
-		ids, ok := snap.LookupRange(mc.Name, &lo, &hi, true, true)
+		ids, ok, _ := snap.LookupRange(mc.Name, &lo, &hi, true, true)
 		if !ok {
 			t.Fatalf("ordered index on %s vanished", mc.Name)
 		}
@@ -127,10 +118,32 @@ func verifySnapConsistent(t *testing.T, snap *TableSnap) {
 	}
 }
 
+// rowStats is the row-at-a-time reference for column statistics.
+func rowStats(rows []Row, ci int) ColStats {
+	s := ColStats{Rows: len(rows)}
+	distinct := make(map[string]struct{})
+	for _, row := range rows {
+		v := row[ci]
+		if v.IsNull() {
+			s.Nulls++
+			continue
+		}
+		distinct[v.Key()] = struct{}{}
+		if s.Min.IsNull() || Compare(v, s.Min) < 0 {
+			s.Min = v
+		}
+		if s.Max.IsNull() || Compare(v, s.Max) > 0 {
+			s.Max = v
+		}
+	}
+	s.Distinct = len(distinct)
+	return s
+}
+
 // TestSnapshotPinnedUnderWrites is the snapshot-semantics property
 // test: snapshots pinned between arbitrary interleaved writes (single
 // inserts, bulk batches, index DDL) stay frozen — their length, rows,
-// column vectors, statistics and index scans all keep describing the
+// segments, statistics and index scans all keep describing the
 // pinned instant after any number of later writes to the live table.
 func TestSnapshotPinnedUnderWrites(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -181,9 +194,9 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 		case 4:
 			// Warm the lazy caches so later writes take the
 			// incremental extension paths.
-			tab.ColVecs()
-			tab.Stats("score")
-			tab.Stats("id")
+			tab.Snap().Segments()
+			tab.Snap().Stats("score")
+			tab.Snap().Stats("id")
 		}
 		if r.Intn(3) == 0 {
 			pin()
@@ -207,7 +220,7 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 }
 
 // TestIncrementalMaintenanceEquivalence: a table whose indexes, stats
-// and column vectors were maintained incrementally across many bulk
+// and segments were maintained incrementally across many bulk
 // inserts must be indistinguishable from one loaded in a single batch
 // and indexed afterwards — the correctness contract of the
 // copy-on-write merge/extend paths.
@@ -225,10 +238,9 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	}
 	for round := 0; round < 8; round++ {
 		// Warm caches first so every round extends rather than rebuilds.
-		inc.ColVecs()
-		inc.Stats("id")
-		inc.Stats("score")
-		inc.Stats("tag")
+		inc.Snap().Stats("id")
+		inc.Snap().Stats("score")
+		inc.Snap().Stats("tag")
 		batch := make([]Row, 1+r.Intn(30))
 		for i := range batch {
 			batch[i] = randRow(r, next)
@@ -266,8 +278,8 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 		}
 	}
 	lo, hi := Int(0), Int(int64(next))
-	ra, _ := a.LookupRange("id", &lo, &hi, true, false)
-	rb, _ := b.LookupRange("id", &lo, &hi, true, false)
+	ra, _, _ := a.LookupRange("id", &lo, &hi, true, false)
+	rb, _, _ := b.LookupRange("id", &lo, &hi, true, false)
 	if len(ra) != len(rb) {
 		t.Errorf("range scans diverge: %d vs %d ids", len(ra), len(rb))
 	}

@@ -29,17 +29,16 @@ func (s ColStats) Selectivity() float64 {
 	return sel
 }
 
-// computeStats scans a frozen row set for one column's statistics —
-// the from-scratch path TableSnap.Stats takes when the snapshot's
-// cache was not seeded incrementally by the writer.
-func computeStats(rows []Row, ci int) ColStats {
-	s := ColStats{Rows: len(rows)}
+// computeStats scans one column of a segment layout for its
+// statistics — the from-scratch path TableSnap.Stats takes when the
+// snapshot's cache was not seeded incrementally by the writer.
+func computeStats(ss *SegSet, ci int) (ColStats, error) {
+	s := ColStats{Rows: ss.N}
 	distinct := make(map[string]struct{})
-	for _, row := range rows {
-		v := row[ci]
+	err := ss.scanCol(ci, 0, ss.N, func(_ int, v Value) {
 		if v.IsNull() {
 			s.Nulls++
-			continue
+			return
 		}
 		distinct[v.Key()] = struct{}{}
 		if s.Min.IsNull() || Compare(v, s.Min) < 0 {
@@ -48,27 +47,42 @@ func computeStats(rows []Row, ci int) ColStats {
 		if s.Max.IsNull() || Compare(v, s.Max) > 0 {
 			s.Max = v
 		}
-	}
+	})
 	s.Distinct = len(distinct)
-	return s
+	return s, err
 }
 
-// withOrderedIndex returns cur's ordered-index map extended (copy-on-
-// write) with a freshly built run for column ci: row ids sorted by
-// value, NULLs first, store.Compare order.
-func withOrderedIndex(cur *tableData, col string, ci int) map[string][]int {
-	ids := make([]int, len(cur.rows))
+// sortedIDs returns the row ids of a segment layout sorted by column
+// ci's value: NULLs first, store.Compare order, ties by ascending id.
+func sortedIDs(ss *SegSet, ci int) ([]int, error) {
+	vals := make([]Value, 0, ss.N)
+	if err := ss.scanCol(ci, 0, ss.N, func(_ int, v Value) { vals = append(vals, v) }); err != nil {
+		return nil, err
+	}
+	ids := make([]int, len(vals))
 	for i := range ids {
 		ids[i] = i
 	}
-	rows := cur.rows
-	sort.SliceStable(ids, func(a, b int) bool {
-		return Compare(rows[ids[a]][ci], rows[ids[b]][ci]) < 0
+	sort.SliceStable(ids, func(a, b int) bool { return Compare(vals[ids[a]], vals[ids[b]]) < 0 })
+	return ids, nil
+}
+
+// hashIndex builds a hash index over column ci: value key -> row ids.
+func hashIndex(ss *SegSet, ci int) (map[string][]int, error) {
+	idx := make(map[string][]int)
+	err := ss.scanCol(ci, 0, ss.N, func(id int, v Value) {
+		k := v.Key()
+		idx[k] = append(idx[k], id)
 	})
-	out := make(map[string][]int, len(cur.ord)+1)
-	for k, v := range cur.ord {
-		out[k] = v
+	return idx, err
+}
+
+// withOrderedIndex returns cur's ordered-index map extended (copy-on-
+// write) with a freshly built run for column ci.
+func withOrderedIndex(cur *tableData, col string, ci int) (map[string][]int, error) {
+	ids, err := sortedIDs(cur.segs, ci)
+	if err != nil {
+		return nil, err
 	}
-	out[col] = ids
-	return out
+	return withEntry(cur.ord, col, ids), nil
 }

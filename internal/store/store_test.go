@@ -227,19 +227,19 @@ func TestHashIndex(t *testing.T) {
 	if err := tab.BuildIndex("score"); err != nil {
 		t.Fatal(err)
 	}
-	if !tab.HasIndex("score") || tab.HasIndex("name") {
+	if !tab.Snap().HasIndex("score") || tab.Snap().HasIndex("name") {
 		t.Error("HasIndex wrong")
 	}
-	ids, ok := tab.LookupIndex("score", Float(3))
+	ids, ok := tab.Snap().LookupIndex("score", Float(3))
 	if !ok || len(ids) != 10 {
 		t.Fatalf("LookupIndex = %v,%v", ids, ok)
 	}
 	// Integer probe hits float entries (key equivalence).
-	ids, ok = tab.LookupIndex("score", Int(3))
+	ids, ok = tab.Snap().LookupIndex("score", Int(3))
 	if !ok || len(ids) != 10 {
 		t.Fatalf("LookupIndex int probe = %v,%v", ids, ok)
 	}
-	if _, ok := tab.LookupIndex("name", Text("p")); ok {
+	if _, ok := tab.Snap().LookupIndex("name", Text("p")); ok {
 		t.Error("lookup on unindexed column should report no index")
 	}
 	if err := tab.BuildIndex("bogus"); err == nil {
@@ -254,7 +254,7 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.MustInsert("people", Int(42), Text("Zed"), Float(1))
-	ids, ok := tab.LookupIndex("id", Int(42))
+	ids, ok := tab.Snap().LookupIndex("id", Int(42))
 	if !ok || len(ids) != 1 || ids[0] != 0 {
 		t.Fatalf("index not maintained: %v %v", ids, ok)
 	}
@@ -267,10 +267,10 @@ func TestBuildPrimaryIndexes(t *testing.T) {
 	if err := db.BuildPrimaryIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	if !db.Table("people").HasIndex("id") {
+	if !db.Table("people").Snap().HasIndex("id") {
 		t.Error("primary key index missing")
 	}
-	if !db.Table("pets").HasIndex("owner_id") {
+	if !db.Table("pets").Snap().HasIndex("owner_id") {
 		t.Error("foreign key index missing")
 	}
 	if db.TotalRows() != 2 {
@@ -295,7 +295,7 @@ func TestIndexLookupMatchesScan(t *testing.T) {
 				scan = append(scan, id)
 			}
 		}
-		idx, _ := tab.LookupIndex("score", v)
+		idx, _ := tab.Snap().LookupIndex("score", v)
 		sort.Ints(idx)
 		if len(idx) != len(scan) {
 			t.Fatalf("probe %d: index %d rows, scan %d rows", probe, len(idx), len(scan))
@@ -354,7 +354,7 @@ func BenchmarkIndexLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.LookupIndex("a", Int(int64(i%100000)))
+		tab.Snap().LookupIndex("a", Int(int64(i%100000)))
 	}
 }
 

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -46,7 +47,7 @@ func NewTable(meta *schema.Table) *Table {
 		t.colIdx[c.Name] = i
 	}
 	layout := &partLayout{scheme: PartScheme{Kind: PartNone, N: 1}, locks: make([]sync.Mutex, 1)}
-	t.pset.Store(newPartSet(layout, []*tableData{{caches: &dataCaches{}}}, 0))
+	t.pset.Store(newPartSet(layout, []*tableData{emptyData(0)}, 0))
 	return t
 }
 
@@ -72,72 +73,58 @@ func (t *Table) PartScheme() PartScheme { return t.pset.Load().layout.scheme }
 // Len returns the current row count.
 func (t *Table) Len() int { return t.Snap().Len() }
 
-// Rows returns the current version's rows. Callers must not mutate
-// them.
+// Rows materializes the current version's rows (see TableSnap.Rows).
 func (t *Table) Rows() []Row { return t.Snap().Rows() }
 
-// Row returns row i of the current version.
+// Row materializes row i of the current version (see TableSnap.Row).
 func (t *Table) Row(i int) Row { return t.Snap().Row(i) }
 
 // Insert appends a row after validating arity and column types. INT
 // values are accepted into FLOAT columns (widening); NULL is accepted
 // anywhere. Indexes are maintained on the published snapshot.
 func (t *Table) Insert(vals ...Value) error {
-	if len(vals) != len(t.Meta.Columns) {
-		return fmt.Errorf("store: table %s expects %d values, got %d",
-			t.Meta.Name, len(t.Meta.Columns), len(vals))
+	if err := t.validate(vals); err != nil {
+		return err
 	}
-	row := make(Row, len(vals))
-	for i, v := range vals {
-		coerced, err := coerce(v, t.Meta.Columns[i].Type)
-		if err != nil {
-			return fmt.Errorf("store: table %s column %s: %w",
-				t.Meta.Name, t.Meta.Columns[i].Name, err)
-		}
-		row[i] = coerced
-	}
-	t.publishRows([]Row{row})
-	return nil
+	return t.publishRows([]Row{vals})
 }
 
 // BulkInsert appends many rows as one new version: rows are validated
-// and coerced like Insert, then published in a single atomic step with
-// indexes, statistics and column vectors maintained incrementally on
-// the new snapshot (merge into the ordered runs, copy-on-write into
-// the hash buckets — never a full rebuild). Concurrent readers see
-// either none or all of the batch. Loaders (store/csv,
-// internal/dataset) should prefer this for anything beyond a handful
-// of rows.
+// like Insert, then published in a single atomic step — their cells
+// appended straight into the tail's typed columns, with indexes and
+// statistics maintained incrementally on the new snapshot (merge into
+// the ordered runs, copy-on-write into the hash buckets — never a full
+// rebuild). Concurrent readers see either none or all of the batch.
+// Loaders (store/csv, internal/dataset) should prefer this for
+// anything beyond a handful of rows.
 func (t *Table) BulkInsert(rows []Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	// Validate and coerce every row before publishing, so a mid-batch
-	// error leaves no partial mutation behind (Insert gives the same
-	// guarantee per row). The staged rows carve slices out of one
-	// arena sized up front from the batch's row count — len(rows)
-	// small allocations collapse into one, which is most of the
-	// loader's alloc/op budget at bulk sizes.
-	nc := len(t.Meta.Columns)
-	staged := make([]Row, len(rows))
-	arena := make(Row, len(rows)*nc)
-	for ri, vals := range rows {
-		if len(vals) != nc {
-			return fmt.Errorf("store: table %s expects %d values, got %d",
-				t.Meta.Name, nc, len(vals))
+	// Validate every row before publishing, so a mid-batch error leaves
+	// no partial mutation behind (Insert gives the same guarantee per
+	// row). Nothing is staged: the segment append reads the caller's
+	// rows and widens INT cells into FLOAT columns as it copies them.
+	for _, row := range rows {
+		if err := t.validate(row); err != nil {
+			return err
 		}
-		row := arena[ri*nc : (ri+1)*nc : (ri+1)*nc]
-		for i, v := range vals {
-			coerced, err := coerce(v, t.Meta.Columns[i].Type)
-			if err != nil {
-				return fmt.Errorf("store: table %s column %s: %w",
-					t.Meta.Name, t.Meta.Columns[i].Name, err)
-			}
-			row[i] = coerced
-		}
-		staged[ri] = row
 	}
-	t.publishRows(staged)
+	return t.publishRows(rows)
+}
+
+// validate checks one row's arity and cell types against the schema.
+func (t *Table) validate(row Row) error {
+	if len(row) != len(t.Meta.Columns) {
+		return fmt.Errorf("store: table %s expects %d values, got %d",
+			t.Meta.Name, len(t.Meta.Columns), len(row))
+	}
+	for i, v := range row {
+		if _, err := coerce(v, t.Meta.Columns[i].Type); err != nil {
+			return fmt.Errorf("store: table %s column %s: %w",
+				t.Meta.Name, t.Meta.Columns[i].Name, err)
+		}
+	}
 	return nil
 }
 
@@ -172,23 +159,24 @@ func coerce(v Value, want schema.ColType) (Value, error) {
 // BuildIndex creates (or rebuilds) a hash index on the named column,
 // along with an ordered companion index that serves range predicates.
 // Like every write it publishes a new snapshot; pinned readers keep
-// the index set they planned against.
+// the index set they planned against. The column's cells are read out
+// of the segments, so a failed fault-in is returned as the error.
 func (t *Table) BuildIndex(col string) error {
 	ci := t.ColIndex(col)
 	if ci < 0 {
 		return errNoColumn(t, col)
 	}
-	t.publishIndex(func(cur, next *tableData) {
-		idx := make(map[string][]int)
-		for id, row := range cur.rows {
-			k := row[ci].Key()
-			idx[k] = append(idx[k], id)
+	return t.publishIndex(func(cur, next *tableData) error {
+		idx, err := hashIndex(cur.segs, ci)
+		if err != nil {
+			return err
 		}
-		next.hash = cloneIndexMap(cur.hash)
-		next.hash[col] = idx
-		next.ord = withOrderedIndex(cur, col, ci)
+		if next.ord, err = withOrderedIndex(cur, col, ci); err != nil {
+			return err
+		}
+		next.hash = withEntry(cur.hash, col, idx)
+		return nil
 	})
-	return nil
 }
 
 // BuildOrderedIndex creates (or rebuilds) an ordered index on the
@@ -199,87 +187,65 @@ func (t *Table) BuildOrderedIndex(col string) error {
 	if ci < 0 {
 		return errNoColumn(t, col)
 	}
-	t.publishIndex(func(cur, next *tableData) {
-		next.ord = withOrderedIndex(cur, col, ci)
+	return t.publishIndex(func(cur, next *tableData) error {
+		var err error
+		next.ord, err = withOrderedIndex(cur, col, ci)
+		return err
 	})
-	return nil
 }
 
-func cloneIndexMap(m map[string]map[string][]int) map[string]map[string][]int {
-	out := make(map[string]map[string][]int, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
+// withEntry returns a copy of m with k set to v (copy-on-write for
+// the per-version index maps).
+func withEntry[V any](m map[string]V, k string, v V) map[string]V {
+	out := make(map[string]V, len(m)+1)
+	maps.Copy(out, m)
+	out[k] = v
 	return out
 }
 
-// HasIndex reports whether the column currently has a hash index.
-func (t *Table) HasIndex(col string) bool { return t.Snap().HasIndex(col) }
-
-// LookupIndex probes the current version's hash index (see
-// TableSnap.LookupIndex).
-func (t *Table) LookupIndex(col string, v Value) ([]int, bool) {
-	return t.Snap().LookupIndex(col, v)
-}
-
-// HasOrderedIndex reports whether the column currently has an ordered
-// index.
-func (t *Table) HasOrderedIndex(col string) bool { return t.Snap().HasOrderedIndex(col) }
-
-// LookupRange scans the current version's ordered index (see
-// TableSnap.LookupRange).
-func (t *Table) LookupRange(col string, lo, hi *Value, loIncl, hiIncl bool) ([]int, bool) {
-	return t.Snap().LookupRange(col, lo, hi, loIncl, hiIncl)
-}
-
-// Stats returns statistics for the named column at the current
-// version (see TableSnap.Stats).
-func (t *Table) Stats(col string) (ColStats, bool) { return t.Snap().Stats(col) }
-
-// ColVecs returns the current version's columnar layout (see
-// TableSnap.ColVecs).
-func (t *Table) ColVecs() []*ColVec { return t.Snap().ColVecs() }
-
-// Segments returns the current version's segment layout (see
-// TableSnap.Segments).
-func (t *Table) Segments() *SegSet { return t.Snap().Segments() }
-
 // SetSegmentRows changes the table's seal boundary (rows per sealed
-// segment; 0 restores the default) and republishes the current data
-// under it with a fresh segment cache. Contents are unchanged so the
-// version does not move. Intended for tests and experiments that need
-// small segments or boundary-straddling row counts.
-func (t *Table) SetSegmentRows(n int) {
+// segment; 0 restores the default) and re-seals the current data under
+// it, reading every segment's rows back (a failed fault-in is the
+// error, and nothing is published). Contents, indexes and statistics
+// are unchanged, so the version does not move. Intended for tests and
+// experiments that need small segments or boundary-straddling row
+// counts.
+func (t *Table) SetSegmentRows(n int) error {
 	layout := t.lockAll()
 	defer unlockAll(layout)
 	ps := t.pset.Load()
 	datas := make([]*tableData, len(ps.datas))
 	for i, cur := range ps.datas {
+		segs := &SegSet{}
+		err := cur.segs.eachSegment(len(t.Meta.Columns), func(rows []Row) {
+			segs = appendSegs(t.Meta, segs, rows, n)
+		})
+		if err != nil {
+			return err
+		}
 		datas[i] = &tableData{
-			rows:    cur.rows,
+			segs:    segs,
 			hash:    cur.hash,
 			ord:     cur.ord,
 			version: cur.version,
 			segRows: n,
-			caches:  &dataCaches{},
+			stats:   cur.stats,
 		}
 	}
 	t.pubMu.Lock()
 	t.pset.Store(newPartSet(layout, datas, ps.version))
 	t.pubMu.Unlock()
+	return nil
 }
 
 // DropIndex removes the hash and ordered indexes on the named column,
 // if any.
 func (t *Table) DropIndex(col string) {
-	t.publishIndex(func(cur, next *tableData) {
-		next.hash = cloneIndexMap(cur.hash)
+	_ = t.publishIndex(func(cur, next *tableData) error {
+		next.hash, next.ord = maps.Clone(cur.hash), maps.Clone(cur.ord)
 		delete(next.hash, col)
-		next.ord = make(map[string][]int, len(cur.ord))
-		for k, v := range cur.ord {
-			next.ord[k] = v
-		}
 		delete(next.ord, col)
+		return nil
 	})
 }
 
@@ -403,9 +369,10 @@ func (db *DB) BuildPrimaryIndexes() error {
 // configuration of the access-path experiment (F2).
 func (db *DB) DropAllIndexes() {
 	for _, t := range db.tables {
-		t.publishIndex(func(cur, next *tableData) {
+		_ = t.publishIndex(func(cur, next *tableData) error {
 			next.hash = nil
 			next.ord = nil
+			return nil
 		})
 	}
 }
