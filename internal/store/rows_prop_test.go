@@ -9,12 +9,12 @@ import (
 	"repro/internal/schema"
 )
 
-// The reference oracle reads its rows back out of the segments, so the
-// segment write path (tail append, sealing, re-sealing, repartitioning,
-// spill and fault-in) is no longer checked by comparing against an
-// independent row copy inside the engine. TestRowsRoundTripProperty
-// restores that independence: over random row sets full of encoding
-// edge cases, Rows() must return exactly the rows as inserted.
+// The reference oracle reads its rows back out of the segments, so it
+// cannot catch a fault in the segment write path (tail append,
+// sealing, re-sealing, repartitioning, spill and fault-in).
+// TestRowsRoundTripProperty checks that path against the rows as the
+// test inserted them: over random row sets full of encoding edge
+// cases, Rows() must return exactly those rows.
 
 func propSchema() *schema.Schema {
 	return schema.MustNew("prop", []*schema.Table{{

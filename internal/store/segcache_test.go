@@ -198,6 +198,56 @@ func TestSegCacheSingleflight(t *testing.T) {
 	}
 }
 
+// TestSegCacheConcurrentColumnFaults: readers of different column
+// subsets fault one evicted segment concurrently, under a budget small
+// enough that the merged payloads keep being evicted. Every reader
+// gets its columns decoded and correct, and the cache's resident byte
+// count stays equal to the payloads in its ring.
+func TestSegCacheConcurrentColumnFaults(t *testing.T) {
+	db, tab := spillTable(t, 1024, 256, 20<<10)
+	c := db.SegCache()
+	ss := tab.Snap().Segments()
+	want := make([][]*SegCol, 3)
+	for si := range want {
+		want[si] = ss.Segs[si].MustCols()
+	}
+	c.EvictAll()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 12; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				si, need := (g+rep)%3, []int{g % 6, (g + rep) % 6}
+				cols, err := ss.Segs[si].ColsFor(need, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, ci := range need {
+					for i := 0; i < ss.Segs[si].N; i += 17 {
+						if Compare(cols[ci].Value(i), want[si][ci].Value(i)) != 0 {
+							t.Errorf("segment %d col %d row %d: %v, want %v", si, ci, i, cols[ci].Value(i), want[si][ci].Value(i))
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var ring int64
+	for _, seg := range c.ring {
+		ring += int64(seg.pay.Load().bytes)
+	}
+	if ring != c.used || c.used > c.budget {
+		t.Fatalf("resident accounting: ring holds %d bytes, used %d, budget %d", ring, c.used, c.budget)
+	}
+}
+
 // TestSegCacheFaultCancellation: a fault-in attempt whose done channel
 // is already closed aborts with the cancellation sentinel instead of
 // queueing on disk I/O.

@@ -241,7 +241,7 @@ func (t *Table) SetSegmentRows(n int) error {
 // DropIndex removes the hash and ordered indexes on the named column,
 // if any.
 func (t *Table) DropIndex(col string) {
-	_ = t.publishIndex(func(cur, next *tableData) error {
+	_ = t.publishIndex(func(cur, next *tableData) error { // reads no cells, cannot fail
 		next.hash, next.ord = maps.Clone(cur.hash), maps.Clone(cur.ord)
 		delete(next.hash, col)
 		delete(next.ord, col)
@@ -369,7 +369,7 @@ func (db *DB) BuildPrimaryIndexes() error {
 // configuration of the access-path experiment (F2).
 func (db *DB) DropAllIndexes() {
 	for _, t := range db.tables {
-		_ = t.publishIndex(func(cur, next *tableData) error {
+		_ = t.publishIndex(func(cur, next *tableData) error { // reads no cells, cannot fail
 			next.hash = nil
 			next.ord = nil
 			return nil

@@ -8,10 +8,9 @@ import (
 // BenchmarkTailAppend pins O(batch) publish: an 8-row BulkInsert into
 // a table whose tail already holds 1K rows, and one whose tail holds
 // 60K. The tail's typed slices extend in place and only the batch is
-// encoded, so allocs/op must not depend on the tail's length (before
-// segments were built at publish, the tail was re-encoded on every
-// write). One row in four has a NULL, so every publish also copies the
-// tail's null bitmap. The table is rebuilt, untimed, before the tail
+// encoded, so allocs/op must not depend on the tail's length. One row
+// in four has a NULL, so every publish also copies the tail's null
+// bitmap. The table is rebuilt, untimed, before the tail
 // could reach the seal boundary. Guarded by cmd/allocguard in CI.
 func BenchmarkTailAppend(b *testing.B) {
 	row := func(i int) Row {
