@@ -207,10 +207,6 @@ func (t *Table) Partition(scheme PartScheme) error {
 	for p := range datas {
 		datas[p] = emptyData(d0.segRows)
 	}
-	var kind Kind
-	if scheme.N > 1 {
-		kind = KindOfColType(t.Meta.Columns[scheme.Ci].Type)
-	}
 	parts := make([][]Row, scheme.N)
 	var buf []byte
 	for _, d := range ps.datas {
@@ -218,7 +214,7 @@ func (t *Table) Partition(scheme PartScheme) error {
 			for _, row := range rows {
 				p := 0
 				if scheme.N > 1 {
-					p, buf = scheme.routeKey(widen(row[scheme.Ci], kind), buf)
+					p, buf = scheme.routeKey(row[scheme.Ci], buf)
 				}
 				parts[p] = append(parts[p], row)
 			}

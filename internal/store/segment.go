@@ -549,9 +549,9 @@ func newSegSet(segs []*Segment) *SegSet {
 
 // appendSegs returns ss extended by rows (validated against meta's
 // column types). Sealed segments are shared by pointer; the tail's
-// typed slices append in place, which is safe for the same reason a
-// row slice append is: writers are serialized per partition and only
-// ever write past the length any published version holds. A tail that
+// typed slices append in place, which is safe because writers are
+// serialized per partition and only ever write past the length any
+// published version holds. A tail that
 // reaches segRows seals — its plain columns compress into an immutable
 // segment — and a fresh tail starts. Cost is O(len(rows)) plus one
 // segment header per publish, whatever the tail's length.
